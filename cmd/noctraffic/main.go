@@ -25,6 +25,16 @@
 // invocation (flags or scenario+overrides) as a scenario file that
 // reproduces the identical seeded result when re-run.
 //
+// One execution path: every invocation runs through scenario.Execute.
+// A flag-only invocation is lifted into the scenario it describes (the
+// lift -save-scenario exports), and the observability, metrics and
+// parallel-kernel flags become its scenario.Instruments — so
+// `noctraffic -scenario FILE -wall=false -json` prints exactly the
+// bytes nocserver stores for FILE. -shards N partitions the packet
+// rig's fabric across N parallel kernel shards for single runs and
+// sweeps (results are byte-identical to serial); -campaign ignores it
+// and -trans rejects it.
+//
 // Observability (internal/obs, reference in docs/OBSERVABILITY.md):
 // -trace writes a Chrome trace_event file of the run's
 // transaction/packet lifecycle spans — open it directly in Perfetto
@@ -66,7 +76,7 @@
 //	           [-heatmap-bucket N] [-heatmap-csv FILE]
 //	           [-metrics-addr ADDR] [-metrics-out FILE]
 //	           [-metrics-interval D] [-scenario NAME|FILE]
-//	           [-save-scenario FILE] [-list-scenarios]
+//	           [-save-scenario FILE] [-list-scenarios] [-shards N]
 //	           [-cpuprofile FILE] [-memprofile FILE]
 package main
 
@@ -123,7 +133,7 @@ var (
 	topoList   = flag.String("topologies", "crossbar,mesh,torus,ring,tree", "campaign: comma-separated topologies")
 	patList    = flag.String("patterns", "uniform,hotspot", "campaign: comma-separated patterns")
 	workers    = flag.Int("workers", 0, "campaign: worker-pool size (default: GOMAXPROCS)")
-	shardsN    = flag.Int("shards", 0, "partition the fabric across N parallel kernel shards; results are byte-identical to serial (0/1 = serial; ignored by -campaign, which parallelizes across points)")
+	shardsN    = flag.Int("shards", 0, "partition the packet rig's fabric across N parallel kernel shards; results are byte-identical to serial (0/1 = serial; single runs and -sweep only: ignored by -campaign, which parallelizes across points, and rejected by -trans)")
 	trans      = flag.Bool("trans", false, "transaction-level load through the SoC's NIUs")
 	hotspotMem = flag.Bool("hotspot-mem", false, "trans: all masters hammer one memory")
 	wb         = flag.Bool("wb", false, "trans: include the WISHBONE master (and its memory) in the driven SoC")
@@ -149,10 +159,6 @@ var (
 // overrides scenario fields.
 var setFlags = map[string]bool{}
 
-// mx is the process-wide live-metrics rig; nil unless -metrics-addr or
-// -metrics-out was given. Every method is nil-safe.
-var mx *metricsRun
-
 func main() {
 	flag.Parse()
 	flag.Visit(func(f *flag.Flag) { setFlags[f.Name] = true })
@@ -169,19 +175,39 @@ func main() {
 		printScenarioList()
 		return
 	}
-	mx = newMetricsRun()
+	mx := newMetricsRun()
 	defer mx.close()
-	if *scenarioFlag != "" {
-		runScenario()
-		return
-	}
 
+	var sc *scenario.Scenario
+	if *scenarioFlag != "" {
+		sc = mustLoadScenario(*scenarioFlag)
+		if err := applyOverrides(sc); err != nil {
+			log.Fatal(err)
+		}
+	} else {
+		sc = flagScenario()
+	}
+	if err := sc.Validate(); err != nil {
+		log.Fatal(err)
+	}
+	if *saveScenario != "" {
+		exportScenario(sc)
+	}
+	run(sc, mx)
+}
+
+// flagScenario lifts a flag-only invocation into the scenario it
+// describes — the lift -save-scenario exports — so flag runs and
+// scenario runs take the one execution path, scenario.Execute.
+func flagScenario() *scenario.Scenario {
+	if *seed == 0 {
+		// A scenario's seed 0 means "omitted" and selects the default.
+		log.Fatal("-seed 0 is not a seed a scenario can carry (0 selects the default seed 1); use a positive seed")
+	}
 	top, err := traffic.ParseTopology(*topo)
 	if err != nil {
 		log.Fatal(err)
 	}
-	sk := newSinks(*traceFile, *eventsFile, *heatFile, *heatCSV, *heatBucket)
-
 	fid, err := transport.ParseFidelity(*fidelity)
 	if err != nil {
 		log.Fatal(err)
@@ -189,35 +215,31 @@ func main() {
 	if fid == transport.FidelityCycle && (*looseThr != 0 || *looseHyst != 0 || *looseWin != 0) {
 		log.Fatal("-loose-threshold/-loose-hysteresis/-loose-window need -fidelity hybrid or loose")
 	}
+	net := transport.NetConfig{Fidelity: fid, LooseThreshold: *looseThr, LooseHysteresis: *looseHyst, LooseWindow: *looseWin}
+	name := scenarioName()
 
 	if *trans {
-		tc := traffic.TransConfig{
+		return scenario.FromTransConfig(name, traffic.TransConfig{
 			Seed: *seed, Topology: socTopology(top), Rate: *rate, Window: *window,
 			Bytes: *payload, ReadFrac: zeroAsNeg(*readFrac),
 			Hotspot: *hotspotMem, Wishbone: *wb,
 			Warmup: zeroAsNegI(*warmup), Measure: *measure, Drain: *drain,
-			Shards: *shardsN,
-		}
-		tc.Net.Fidelity = fid
-		tc.Net.LooseThreshold = *looseThr
-		tc.Net.LooseHysteresis = *looseHyst
-		tc.Net.LooseWindow = *looseWin
-		if *saveScenario != "" {
-			exportScenario(scenario.FromTransConfig(scenarioName(), tc))
-		}
-		runTrans(tc, *jsonOut, sk)
-		return
+			Net: net,
+		})
 	}
 
-	if *nodes < 2 {
-		log.Fatalf("need at least 2 nodes, got %d", *nodes)
-	}
 	pat, err := traffic.ParsePattern(*pattern)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if pat == traffic.Hotspot && (*hotNode < 0 || *hotNode >= *nodes) {
-		log.Fatalf("hot node %d outside [0,%d)", *hotNode, *nodes)
+	net.QoS = *qos
+	switch *mode {
+	case "wormhole":
+		net.Mode = transport.Wormhole
+	case "saf":
+		net.Mode = transport.StoreAndForward
+	default:
+		log.Fatalf("unknown switching mode %q", *mode)
 	}
 	cfg := traffic.Config{
 		Seed: *seed, Nodes: *nodes, Topology: top,
@@ -226,173 +248,103 @@ func main() {
 		BurstLen: *burstLen, UrgentFrac: *urgentFrac,
 		ClosedLoop: *closed, Window: *window,
 		Warmup: zeroAsNegI(*warmup), Measure: *measure, Drain: *drain,
-		Shards: *shardsN,
+		Net: net,
 	}
-	cfg.Net.QoS = *qos
-	cfg.Net.Fidelity = fid
-	cfg.Net.LooseThreshold = *looseThr
-	cfg.Net.LooseHysteresis = *looseHyst
-	cfg.Net.LooseWindow = *looseWin
-	switch *mode {
-	case "wormhole":
-		cfg.Net.Mode = transport.Wormhole
-	case "saf":
-		cfg.Net.Mode = transport.StoreAndForward
-	default:
-		log.Fatalf("unknown switching mode %q", *mode)
-	}
-
-	if *campaign {
-		ccfg := traffic.CampaignConfig{
-			Base:       cfg,
+	switch {
+	case *campaign:
+		return scenario.FromPacketConfig(name, cfg, nil, &traffic.CampaignConfig{
 			Topologies: parseTopologies(*topoList),
 			Patterns:   parsePatterns(*patList),
 			Rates:      parseRates(*ratesFlag),
 			Workers:    *workers,
-		}
-		if *saveScenario != "" {
-			exportScenario(scenario.FromPacketConfig(scenarioName(), cfg, nil, &ccfg))
-		}
-		runCampaign(ccfg, *heatBucket)
-		return
-	}
-
-	if *sweep {
+		})
+	case *sweep:
 		rates := parseRates(*ratesFlag)
-		if *saveScenario != "" {
-			exported := rates
-			if len(exported) == 0 {
-				exported = traffic.DefaultRates()
-			}
-			exportScenario(scenario.FromPacketConfig(scenarioName(), cfg, exported, nil))
+		if len(rates) == 0 {
+			rates = traffic.DefaultRates()
 		}
-		runSweep(cfg, rates)
-		return
+		return scenario.FromPacketConfig(name, cfg, rates, nil)
 	}
-
-	if *saveScenario != "" {
-		exportScenario(scenario.FromPacketConfig(scenarioName(), cfg, nil, nil))
-	}
-	runSingle(cfg, sk)
+	return scenario.FromPacketConfig(name, cfg, nil, nil)
 }
 
-// ---- the four run modes, shared by the flag and scenario paths ----
-
-// fabricProbeFor returns the live-metrics per-router collector, or nil
-// for a sharded run: the collector is single-threaded by the probe
-// contract, and implicitly attaching it would silently force -shards
-// back to serial. The metrics registry itself stays attached, so a
-// sharded run still publishes the per-shard occupancy/stall counters
-// (explicitly requested probes — -trace, -heatmap — still win and fall
-// the run back to serial).
-func fabricProbeFor(shards int) obs.Probe {
-	if shards > 1 {
-		return nil
-	}
-	return mx.fabricProbe()
-}
-
-func runSingle(cfg traffic.Config, sk *sinks) {
-	cfg.Probe = obs.Multi(sk.probe(), fabricProbeFor(cfg.Shards))
-	mx.attach(&cfg)
-	cfg.CollectWall = *wallOut
-	mx.setTotal(1)
-	mx.pointStart()
-	label := fmt.Sprintf("%s/%s@%g", cfg.Topology, cfg.Pattern, cfg.Rate)
-	start := time.Now()
-	res := traffic.Run(cfg)
-	mx.pointDone(label, start)
-	// Same "<topology>/<pattern>@<rate>" label shape campaign heatmaps use.
-	sk.write(fmt.Sprintf("%s/%s@%g", res.Topology, res.Pattern, cfg.Rate))
-	if *jsonOut {
-		emitJSON(res)
-		return
-	}
-	printRun(res, *flows)
-}
-
-func runSweep(cfg traffic.Config, rates []float64) {
-	if *traceFile != "" || *eventsFile != "" || *heatFile != "" || *heatCSV != "" {
+// run executes the scenario once through scenario.Execute, with the
+// instruments the flags ask for, and prints its report.
+func run(sc *scenario.Scenario, mx *metricsRun) {
+	mode := sc.Mode()
+	if mode == scenario.ModeSweep && (*traceFile != "" || *eventsFile != "" || *heatFile != "" || *heatCSV != "") {
 		log.Fatal("-trace/-events/-heatmap apply to a single run, -trans, or -campaign (-heatmap only)")
 	}
-	mx.attach(&cfg)
-	// Sweep points run serially, so sharing one fabric collector across
-	// them is safe (unlike campaign workers); counters accumulate over
-	// the whole curve.
-	cfg.Probe = fabricProbeFor(cfg.Shards)
-	cfg.CollectWall = *wallOut
-	if len(rates) == 0 {
-		mx.setTotal(len(traffic.DefaultRates()))
-	} else {
-		mx.setTotal(len(rates))
-	}
-	start := time.Now()
-	sr := traffic.SweepProgress(cfg, rates, func(pd traffic.PointDone) {
-		mx.pointFinished(pd.Label, pd.WallMS)
-		progressLine("sweep", pd, start)
-	})
-	if *jsonOut {
-		emitJSON(sr)
-		return
-	}
-	fmt.Println(sr.Table().Render())
-	fmt.Printf("saturation: last unsaturated rate %.3f, saturation throughput %.4f txn/node/cycle\n",
-		sr.SatRate, sr.SatThroughput)
-}
-
-func runCampaign(ccfg traffic.CampaignConfig, bucket int64) {
-	if *traceFile != "" || *eventsFile != "" {
+	if mode == scenario.ModeCampaign && (*traceFile != "" || *eventsFile != "") {
 		log.Fatal("-trace/-events need a single simulation; campaigns support -heatmap only")
 	}
-	if *heatFile != "" || *heatCSV != "" {
-		ccfg.HeatmapBuckets = bucket
+	// An explicit -heatmap-bucket already overrode the scenario's bucket.
+	bucket := sc.Measure.HeatmapBucket
+	if bucket <= 0 {
+		bucket = *heatBucket
 	}
-	mx.attach(&ccfg.Base)
-	ccfg.Base.CollectWall = *wallOut
+	sk := newSinks(*traceFile, *eventsFile, *heatFile, *heatCSV, bucket)
+	in := &scenario.Instruments{Probe: sk.probe(), Wall: *wallOut, Shards: *shardsN}
+	if sk.mon != nil {
+		in.HeatmapBucket = bucket // campaigns: one heatmap per point
+	}
 	if mx != nil {
-		ccfg.Progress = mx.prog
+		in.Metrics, in.Prof, in.Progress = mx.reg, mx.prof, mx.prog
+		// The per-router collector is single-threaded by the probe
+		// contract: attaching it implicitly would force a sharded run
+		// back to serial. Explicit probes (-trace, -heatmap) still do.
+		if *shardsN <= 1 {
+			in.Probe = obs.Multi(in.Probe, mx.coll)
+		}
 	}
+	var label string
 	start := time.Now()
-	ccfg.OnPoint = func(pd traffic.PointDone) { progressLine("campaign", pd, start) }
-	cr := traffic.Campaign(ccfg)
-	if *heatFile != "" {
-		writeFile(*heatFile, func(w io.Writer) error { return stats.WriteJSON(w, cr.Heatmaps) })
+	in.OnPoint = func(pd traffic.PointDone) {
+		label = pd.Label
+		if mode == scenario.ModeSweep || mode == scenario.ModeCampaign {
+			progressLine(string(mode), pd, start)
+		}
 	}
-	if *heatCSV != "" {
-		writeFile(*heatCSV, func(w io.Writer) error { return obs.WriteHeatmapsCSV(w, cr.Heatmaps) })
+
+	rep, err := scenario.Execute(sc, in)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if cr := rep.Campaign; cr != nil {
+		if *heatFile != "" {
+			writeFile(*heatFile, func(w io.Writer) error { return stats.WriteJSON(w, cr.Heatmaps) })
+		}
+		if *heatCSV != "" {
+			writeFile(*heatCSV, func(w io.Writer) error { return obs.WriteHeatmapsCSV(w, cr.Heatmaps) })
+		}
+	} else {
+		sk.write(label)
 	}
 	if *jsonOut {
-		emitJSON(cr)
+		emitJSON(rep.Result())
 		return
 	}
-	fmt.Println(cr.Table().Render())
-	for _, c := range cr.Curves {
-		fmt.Println(c.Table().Render())
+	switch {
+	case rep.Single != nil:
+		printRun(*rep.Single, *flows)
+	case rep.Sweep != nil:
+		fmt.Println(rep.Sweep.Table().Render())
+		fmt.Printf("saturation: last unsaturated rate %.3f, saturation throughput %.4f txn/node/cycle\n",
+			rep.Sweep.SatRate, rep.Sweep.SatThroughput)
+	case rep.Campaign != nil:
+		cr := rep.Campaign
+		fmt.Println(cr.Table().Render())
+		for _, c := range cr.Curves {
+			fmt.Println(c.Table().Render())
+		}
+		if cr.Wall != nil {
+			fmt.Printf("wall clock: %.0f ms on %d workers for %d kernel events (%.2g events/sec)\n",
+				cr.Wall.TotalMS, cr.Wall.Workers, cr.Wall.Events, cr.Wall.EventsPerSec)
+		}
+	default:
+		fmt.Println(rep.Trans.Table().Render())
+		fmt.Printf("throughput: %.1f completions/kcycle; incomplete: %d\n", rep.Trans.Throughput, rep.Trans.Incomplete)
 	}
-	if cr.Wall != nil {
-		fmt.Printf("wall clock: %.0f ms for %d kernel events (%.2g events/sec)\n",
-			cr.Wall.TotalMS, cr.Wall.Events, cr.Wall.EventsPerSec)
-	}
-}
-
-func runTrans(tc traffic.TransConfig, jsonOut bool, sk *sinks) {
-	tc.Probe = obs.Multi(sk.probe(), fabricProbeFor(tc.Shards))
-	if mx != nil {
-		tc.Prof = mx.prof
-	}
-	tc.CollectWall = *wallOut
-	mx.setTotal(1)
-	mx.pointStart()
-	start := time.Now()
-	tr := traffic.RunTrans(tc)
-	mx.pointDone(fmt.Sprintf("trans@%g", tc.Rate), start)
-	sk.write(fmt.Sprintf("trans@%g", tc.Rate))
-	if jsonOut {
-		emitJSON(tr)
-		return
-	}
-	fmt.Println(tr.Table().Render())
-	fmt.Printf("throughput: %.1f completions/kcycle; incomplete: %d\n", tr.Throughput, tr.Incomplete)
 }
 
 // progressLine prints one per-point completion line to stderr — the
@@ -427,9 +379,7 @@ type metricsRun struct {
 	out    *os.File
 }
 
-// newMetricsRun returns nil when neither metrics flag was given; every
-// method on the nil receiver is a no-op, so the run modes attach
-// unconditionally.
+// newMetricsRun returns nil when neither metrics flag was given.
 func newMetricsRun() *metricsRun {
 	if *metricsAddr == "" && *metricsOut == "" {
 		return nil
@@ -458,56 +408,6 @@ func newMetricsRun() *metricsRun {
 	return m
 }
 
-// attach points a packet-run config at the shared registry and profile.
-func (m *metricsRun) attach(cfg *traffic.Config) {
-	if m == nil {
-		return
-	}
-	cfg.Metrics = m.reg
-	cfg.Prof = m.prof
-}
-
-// fabricProbe returns the per-router collector as a probe, or a true
-// nil interface when metrics are off — returning the nil *FabricCollector
-// itself would defeat obs.Multi's nil filter.
-func (m *metricsRun) fabricProbe() obs.Probe {
-	if m == nil {
-		return nil
-	}
-	return m.coll
-}
-
-func (m *metricsRun) setTotal(n int) {
-	if m == nil {
-		return
-	}
-	m.prog.SetTotal(n)
-}
-
-func (m *metricsRun) pointStart() {
-	if m == nil {
-		return
-	}
-	m.prog.PointStart()
-}
-
-func (m *metricsRun) pointDone(label string, start time.Time) {
-	if m == nil {
-		return
-	}
-	m.prog.PointDone(label, float64(time.Since(start).Microseconds())/1e3)
-}
-
-// pointFinished records a point that reports only on completion (serial
-// sweep points), keeping the busy gauge balanced.
-func (m *metricsRun) pointFinished(label string, wallMS float64) {
-	if m == nil {
-		return
-	}
-	m.prog.PointStart()
-	m.prog.PointDone(label, wallMS)
-}
-
 // close flushes the final snapshot and stops the HTTP server.
 func (m *metricsRun) close() {
 	if m == nil {
@@ -529,61 +429,6 @@ func (m *metricsRun) close() {
 }
 
 // ---- scenario plumbing ----
-
-// runScenario resolves -scenario, applies explicit flags as overrides,
-// and dispatches on the scenario's mode through the same run paths the
-// flag-driven invocations use.
-func runScenario() {
-	sc := mustLoadScenario(*scenarioFlag)
-	if err := applyOverrides(sc); err != nil {
-		log.Fatal(err)
-	}
-	if err := sc.Validate(); err != nil {
-		log.Fatal(err)
-	}
-	if *saveScenario != "" {
-		exportScenario(sc)
-	}
-	// The scenario's heatmap bucket applies unless the flag was given.
-	bucket := *heatBucket
-	if !setFlags["heatmap-bucket"] && sc.Measure.HeatmapBucket > 0 {
-		bucket = sc.Measure.HeatmapBucket
-	}
-	sk := newSinks(*traceFile, *eventsFile, *heatFile, *heatCSV, bucket)
-
-	// -shards is execution-level, not part of the scenario schema (see
-	// docs/SCENARIOS.md): it lands on the run config built from the
-	// scenario, never on the scenario itself, so exports stay portable.
-	switch sc.Mode() {
-	case scenario.ModeTrans:
-		tc, err := sc.TransConfig()
-		if err != nil {
-			log.Fatal(err)
-		}
-		tc.Shards = *shardsN
-		runTrans(tc, *jsonOut, sk)
-	case scenario.ModeCampaign:
-		cc, err := sc.CampaignConfig()
-		if err != nil {
-			log.Fatal(err)
-		}
-		runCampaign(cc, bucket)
-	case scenario.ModeSweep:
-		cfg, err := sc.PacketConfig()
-		if err != nil {
-			log.Fatal(err)
-		}
-		cfg.Shards = *shardsN
-		runSweep(cfg, sc.Measure.SweepRates)
-	default:
-		cfg, err := sc.PacketConfig()
-		if err != nil {
-			log.Fatal(err)
-		}
-		cfg.Shards = *shardsN
-		runSingle(cfg, sk)
-	}
-}
 
 // mustLoadScenario resolves a built-in name or a file path.
 func mustLoadScenario(arg string) *scenario.Scenario {

@@ -29,8 +29,14 @@
 //   - The resolver (lower.go) — lowers a scenario onto the existing
 //     soc/traffic/obs APIs (traffic.Config, traffic.CampaignConfig,
 //     traffic.TransConfig, soc.Config) and lifts flag-driven configs
-//     back into scenarios; Execute runs whichever mode the measure
-//     section selects (single, sweep, campaign, trans).
+//     back into scenarios.
+//
+//   - Execute (execute.go) — the one execution path: it runs whichever
+//     mode the measure section selects (single, sweep, campaign,
+//     trans), observed through optional Instruments (probe, metrics,
+//     progress, per-point callback, wall clock, campaign heatmaps,
+//     packet-rig shards). noctraffic, nocserver and experiment E14 all
+//     run scenarios through it.
 //
 //   - The registry (registry.go) — built-in named compositions
 //     (cpu-dma-display, camera-isp-pipeline, hotspot-dram,

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"gonoc/internal/noctypes"
-	"gonoc/internal/obs"
 	"gonoc/internal/soc"
 	"gonoc/internal/traffic"
 	"gonoc/internal/transport"
@@ -242,61 +241,6 @@ func (s *Scenario) SoCConfig() (soc.Config, error) {
 		cfg.MasterPriority[m.Protocol] = prio
 	}
 	return cfg, nil
-}
-
-// Report is one executed scenario's result: exactly one of the four
-// mode fields is set.
-type Report struct {
-	Scenario string                  `json:"scenario"`
-	Mode     Mode                    `json:"mode"`
-	Single   *traffic.Result         `json:"single,omitempty"`
-	Sweep    *traffic.SweepResult    `json:"sweep,omitempty"`
-	Campaign *traffic.CampaignResult `json:"campaign,omitempty"`
-	Trans    *traffic.TransResult    `json:"trans,omitempty"`
-}
-
-// Execute validates, lowers, and runs the scenario. probe, when
-// non-nil, instruments single and trans runs; sweep and campaign runs
-// ignore it (a probe belongs to one simulation kernel — campaigns build
-// per-point monitors instead, see traffic.CampaignConfig.HeatmapBuckets).
-func Execute(s *Scenario, probe obs.Probe) (*Report, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	rep := &Report{Scenario: s.Name, Mode: s.Mode()}
-	switch rep.Mode {
-	case ModeTrans:
-		tc, err := s.TransConfig()
-		if err != nil {
-			return nil, err
-		}
-		tc.Probe = probe
-		res := traffic.RunTrans(tc)
-		rep.Trans = &res
-	case ModeCampaign:
-		cc, err := s.CampaignConfig()
-		if err != nil {
-			return nil, err
-		}
-		res := traffic.Campaign(cc)
-		rep.Campaign = &res
-	case ModeSweep:
-		cfg, err := s.PacketConfig()
-		if err != nil {
-			return nil, err
-		}
-		res := traffic.Sweep(cfg, s.Measure.SweepRates)
-		rep.Sweep = &res
-	default:
-		cfg, err := s.PacketConfig()
-		if err != nil {
-			return nil, err
-		}
-		cfg.Probe = probe
-		res := traffic.Run(cfg)
-		rep.Single = &res
-	}
-	return rep, nil
 }
 
 // fracPointer is the export inverse of fracSentinel.

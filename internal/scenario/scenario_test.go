@@ -8,7 +8,10 @@ import (
 	"strings"
 	"testing"
 
+	"gonoc/internal/soc"
+	"gonoc/internal/stats"
 	"gonoc/internal/traffic"
+	"gonoc/internal/transport"
 )
 
 // minimal returns a small valid packet scenario JSON with room for
@@ -202,51 +205,166 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-// TestExportReproducesRun is the -save-scenario guarantee at library
-// level: lifting a flag-driven config into a scenario and lowering it
-// back must yield the same config, and running both must yield the
-// bit-identical Result.
-func TestExportReproducesRun(t *testing.T) {
-	cfg := traffic.Config{
+// exportCase is one noctraffic invocation in library form: cfg (or
+// trans) is the config the flags build, sentinels included ("-readfrac
+// 0" is ReadFrac -1, "-warmup 0" is Warmup -1), and the mode fields
+// pick the run.
+type exportCase struct {
+	name     string
+	cfg      traffic.Config
+	sweep    bool                    // -sweep; rates nil means -rates omitted
+	rates    []float64               // -rates
+	campaign *traffic.CampaignConfig // -campaign (Base is cfg)
+	trans    *traffic.TransConfig    // -trans
+}
+
+// oracle runs the case through the traffic entry point its mode names,
+// directly on the flag-built config.
+func (c exportCase) oracle() any {
+	switch {
+	case c.trans != nil:
+		return traffic.RunTrans(*c.trans)
+	case c.campaign != nil:
+		cc := *c.campaign
+		cc.Base = c.cfg
+		return traffic.Campaign(cc)
+	case c.sweep:
+		return traffic.Sweep(c.cfg, c.rates)
+	}
+	return traffic.Run(c.cfg)
+}
+
+// lift is the flag path's lift, the same one -save-scenario exports: an
+// omitted -rates becomes the explicit default schedule.
+func (c exportCase) lift() *Scenario {
+	switch {
+	case c.trans != nil:
+		return FromTransConfig(c.name, *c.trans)
+	case c.sweep && c.rates == nil:
+		return FromPacketConfig(c.name, c.cfg, traffic.DefaultRates(), nil)
+	}
+	return FromPacketConfig(c.name, c.cfg, c.rates, c.campaign)
+}
+
+// flagConfig is a packet config as noctraffic builds it from its flag
+// defaults, shrunk to test size.
+func flagConfig() traffic.Config {
+	return traffic.Config{
 		Seed: 7, Nodes: 8, Topology: traffic.Ring,
-		Pattern: traffic.Bursty, Rate: 0.08, PayloadBytes: 16,
-		ReadFrac: -1, // the CLI's "-readfrac 0" sentinel
-		BurstLen: 4, UrgentFrac: 0.25,
-		Warmup: 150, Measure: 600, Drain: 6000,
-	}
-	cfg.Net.QoS = true
-	s := FromPacketConfig("export-test", cfg, nil, nil)
-	if err := s.Validate(); err != nil {
-		t.Fatalf("exported scenario invalid: %v", err)
-	}
-	lowered, err := s.PacketConfig()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(cfg, lowered) {
-		t.Fatalf("lower(lift(cfg)) != cfg:\n  in:  %+v\n  out: %+v", cfg, lowered)
-	}
-	if a, b := traffic.Run(cfg), traffic.Run(lowered); !reflect.DeepEqual(a, b) {
-		t.Fatalf("exported scenario does not reproduce the seeded result")
+		Pattern: traffic.UniformRandom, Rate: 0.05, PayloadBytes: 32,
+		ReadFrac: 0.5, HotFrac: 0.5, BurstLen: 8, Window: 4,
+		Warmup: 150, Measure: 500, Drain: 6000,
 	}
 }
 
-// TestExportTransReproducesRun: the same guarantee for -trans runs —
-// the exported explicit role list must drive the byte-identical
-// workload the uniform knobs drove.
-func TestExportTransReproducesRun(t *testing.T) {
-	tc := traffic.TransConfig{Seed: 3, Rate: 0.15, Window: 2, Bytes: 16,
-		Hotspot: true, Wishbone: true, Warmup: 100, Measure: 600, Drain: 8000}
-	s := FromTransConfig("trans-export", tc)
-	if err := s.Validate(); err != nil {
-		t.Fatalf("exported scenario invalid: %v", err)
+// TestExportReproducesRun is the flag path's differential test: the
+// direct traffic call on a flag-built config is the oracle, and the
+// path every noctraffic invocation now takes — lift into a scenario,
+// run it through Execute — must print the same stats.WriteJSON bytes.
+// Packet configs must also survive lower(lift(cfg)) unchanged.
+func TestExportReproducesRun(t *testing.T) {
+	with := func(f func(*traffic.Config)) traffic.Config {
+		c := flagConfig()
+		f(&c)
+		return c
 	}
-	lowered, err := s.TransConfig()
-	if err != nil {
-		t.Fatal(err)
+	cases := []exportCase{
+		{name: "single-sentinels", cfg: with(func(c *traffic.Config) {
+			c.Pattern, c.Rate, c.PayloadBytes, c.BurstLen, c.UrgentFrac = traffic.Bursty, 0.08, 16, 4, 0.25
+			c.ReadFrac, c.Warmup = -1, -1 // -readfrac 0 -warmup 0
+			c.Net.QoS = true
+		})},
+		{name: "single-closed-qos-saf", cfg: with(func(c *traffic.Config) {
+			c.Topology, c.ClosedLoop, c.Window = traffic.Mesh, true, 2
+			c.Net.QoS, c.Net.Mode = true, transport.StoreAndForward
+		})},
+		{name: "single-hotspot", cfg: with(func(c *traffic.Config) {
+			c.Topology, c.Pattern, c.HotNode, c.HotFrac = traffic.Torus, traffic.Hotspot, 3, 0.7
+		})},
+		{name: "single-hybrid", cfg: with(func(c *traffic.Config) {
+			c.Topology = traffic.Mesh
+			c.Net.Fidelity, c.Net.LooseThreshold = transport.FidelityHybrid, 0.3
+		})},
+		{name: "sweep-default-rates", sweep: true, cfg: with(func(c *traffic.Config) {
+			c.Measure = 300
+		})},
+		{name: "sweep-rates", sweep: true, rates: []float64{0.02, 0.1}, cfg: with(func(c *traffic.Config) {
+			c.Topology, c.ClosedLoop = traffic.Tree, true // sweeps run open loop
+		})},
+		{name: "campaign-default-rates", cfg: with(func(c *traffic.Config) { c.Measure = 300 }),
+			campaign: &traffic.CampaignConfig{Topologies: []traffic.Topology{traffic.Ring, traffic.Crossbar}, Workers: 2}},
+		{name: "campaign-rates", cfg: with(func(c *traffic.Config) { c.ReadFrac = -1 }),
+			campaign: &traffic.CampaignConfig{Patterns: []traffic.Pattern{traffic.UniformRandom, traffic.Hotspot},
+				Rates: []float64{0.02, 0.08}}},
+		{name: "trans-wb-hotspot-mem", trans: &traffic.TransConfig{Seed: 3, Rate: 0.15, Window: 2, Bytes: 16,
+			ReadFrac: 0.5, Hotspot: true, Wishbone: true, Warmup: 100, Measure: 600, Drain: 8000}},
+		{name: "trans-sentinels-mesh", trans: &traffic.TransConfig{Seed: 5, Topology: soc.Mesh, Rate: 0.1,
+			Window: 4, Bytes: 32, ReadFrac: -1, Warmup: -1, Measure: 500, Drain: 8000}},
 	}
-	if a, b := traffic.RunTrans(tc), traffic.RunTrans(lowered); !reflect.DeepEqual(a, b) {
-		t.Fatalf("exported trans scenario does not reproduce the seeded result")
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			s := c.lift()
+			if err := s.Validate(); err != nil {
+				t.Fatalf("lifted scenario invalid: %v", err)
+			}
+			if c.trans == nil {
+				lowered, err := s.PacketConfig()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(c.cfg, lowered) {
+					t.Fatalf("lower(lift(cfg)) != cfg:\n  in:  %+v\n  out: %+v", c.cfg, lowered)
+				}
+			}
+			var want, got bytes.Buffer
+			if err := stats.WriteJSON(&want, c.oracle()); err != nil {
+				t.Fatal(err)
+			}
+			rep, err := Execute(s, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := stats.WriteJSON(&got, rep.Result()); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(want.Bytes(), got.Bytes()) {
+				t.Fatalf("%s: lift→Execute bytes differ from the direct traffic call", rep.Mode)
+			}
+		})
+	}
+}
+
+// TestCampaignBytesIgnoreWorkers: the fingerprint ignores the campaign
+// worker count, so the result bytes must too — otherwise a cache hit
+// could return bytes from another pool size, and CLI and server output
+// would differ for the same document.
+func TestCampaignBytesIgnoreWorkers(t *testing.T) {
+	var out [2]bytes.Buffer
+	var fps [2]string
+	for i, workers := range []int{1, 3} {
+		s := FromPacketConfig("workers", flagConfig(), nil, &traffic.CampaignConfig{
+			Topologies: []traffic.Topology{traffic.Ring, traffic.Mesh},
+			Rates:      []float64{0.02, 0.06},
+			Workers:    workers,
+		})
+		fp, err := s.Fingerprint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fps[i] = fp
+		rep, err := Execute(s, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := stats.WriteJSON(&out[i], rep.Result()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if fps[0] != fps[1] {
+		t.Fatalf("fingerprints differ across worker counts: %s vs %s", fps[0], fps[1])
+	}
+	if !bytes.Equal(out[0].Bytes(), out[1].Bytes()) {
+		t.Fatal("campaign bytes differ between workers 1 and 3")
 	}
 }
 
@@ -258,41 +376,23 @@ func TestExportTransReproducesRun(t *testing.T) {
 func TestShardsExcludedFromSchema(t *testing.T) {
 	cfg := traffic.Config{Seed: 7, Nodes: 8, Topology: traffic.Ring,
 		Pattern: traffic.UniformRandom, Shards: 4}
-	tc := traffic.TransConfig{Seed: 3, Rate: 0.15, Shards: 4}
-	for _, sc := range []*Scenario{
-		FromPacketConfig("exec-knob-export", cfg, nil, nil),
-		FromTransConfig("exec-knob-export", tc),
-	} {
-		var buf bytes.Buffer
-		if err := sc.Save(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if strings.Contains(strings.ToLower(buf.String()), "shard") {
-			t.Fatalf("%s export leaked the shards knob into the schema:\n%s",
-				sc.Mode(), buf.String())
-		}
-		back, err := Load(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		switch back.Mode() {
-		case ModeTrans:
-			lowered, err := back.TransConfig()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if lowered.Shards != 0 {
-				t.Fatalf("lowered TransConfig.Shards = %d, want 0", lowered.Shards)
-			}
-		default:
-			lowered, err := back.PacketConfig()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if lowered.Shards != 0 {
-				t.Fatalf("lowered Config.Shards = %d, want 0", lowered.Shards)
-			}
-		}
+	var buf bytes.Buffer
+	if err := FromPacketConfig("exec-knob-export", cfg, nil, nil).Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(strings.ToLower(buf.String()), "shard") {
+		t.Fatalf("export leaked the shards knob into the schema:\n%s", buf.String())
+	}
+	back, err := Load(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lowered, err := back.PacketConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lowered.Shards != 0 {
+		t.Fatalf("lowered Config.Shards = %d, want 0", lowered.Shards)
 	}
 }
 

@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"gonoc/internal/obs/metrics"
+	"gonoc/internal/scenario"
 )
 
 // TestBoundedQueueRejects pins the overload contract: a full queue
@@ -28,7 +29,7 @@ import (
 // in-flight duplicate is joined (X-Cache: pending), not re-enqueued.
 func TestBoundedQueueRejects(t *testing.T) {
 	release := make(chan struct{})
-	exec := func(r *run) ([]byte, error) {
+	exec := func(*run, *scenario.Scenario) ([]byte, error) {
 		<-release
 		return []byte("{}\n"), nil
 	}
@@ -73,7 +74,7 @@ func TestBoundedQueueRejects(t *testing.T) {
 // are unaffected, and resubmitting the failed content retries it.
 func TestPanicIsolation(t *testing.T) {
 	first := true
-	exec := func(r *run) ([]byte, error) {
+	exec := func(*run, *scenario.Scenario) ([]byte, error) {
 		if first {
 			first = false
 			panic("injected kernel fault")
@@ -115,7 +116,7 @@ func TestPanicIsolation(t *testing.T) {
 // result from the still-running goroutine is discarded, not resurrected.
 func TestRunTimeout(t *testing.T) {
 	release := make(chan struct{})
-	exec := func(r *run) ([]byte, error) {
+	exec := func(*run, *scenario.Scenario) ([]byte, error) {
 		<-release
 		return []byte("late result that must be dropped"), nil
 	}
@@ -136,7 +137,7 @@ func TestRunTimeout(t *testing.T) {
 func TestProgressStreamsLive(t *testing.T) {
 	started := make(chan struct{})
 	release := make(chan struct{})
-	exec := func(r *run) ([]byte, error) {
+	exec := func(r *run, _ *scenario.Scenario) ([]byte, error) {
 		r.prog.SetTotal(3)
 		r.prog.PointStart()
 		r.prog.PointDone("injected/point@1", 1)
@@ -200,7 +201,7 @@ func TestProgressStreamsLive(t *testing.T) {
 // unaffected.
 func TestClientDisconnect(t *testing.T) {
 	release := make(chan struct{})
-	exec := func(r *run) ([]byte, error) {
+	exec := func(*run, *scenario.Scenario) ([]byte, error) {
 		<-release
 		return []byte("{}\n"), nil
 	}
@@ -232,7 +233,7 @@ func TestGracefulDrain(t *testing.T) {
 	started := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
-	exec := func(r *run) ([]byte, error) {
+	exec := func(*run, *scenario.Scenario) ([]byte, error) {
 		once.Do(func() { close(started) })
 		<-release
 		return []byte("drained result\n"), nil

@@ -10,7 +10,6 @@ import (
 	"gonoc/internal/obs/metrics"
 	"gonoc/internal/scenario"
 	"gonoc/internal/stats"
-	"gonoc/internal/traffic"
 )
 
 // runState is a run's lifecycle position. Transitions only move
@@ -227,7 +226,7 @@ func (s *Server) execute(r *run) {
 				ch <- outcome{err: fmt.Errorf("run panicked: %v", p)}
 			}
 		}()
-		body, err := s.exec(r)
+		body, err := s.exec(r, s.executed(r.sc))
 		ch <- outcome{body: body, err: err}
 	}()
 
@@ -257,73 +256,35 @@ func (s *Server) execute(r *run) {
 	}
 }
 
-// runScenario executes the run's scenario through the same traffic
-// entry points the noctraffic CLI uses, wired to the run's own metrics
-// rig, and serializes the mode result with stats.WriteJSON — the exact
-// bytes `noctraffic -scenario FILE -wall=false -json` prints.
-// CollectWall stays off: the wall-clock self-profile is the one
-// nondeterministic result field, and a cacheable result must be
-// deterministic.
-func (s *Server) runScenario(r *run) ([]byte, error) {
-	sc := r.sc
-	var v any
-	switch sc.Mode() {
-	case scenario.ModeTrans:
-		tc, err := sc.TransConfig()
-		if err != nil {
-			return nil, err
+// executed returns the scenario a worker runs for sc: a clone whose
+// campaign worker pool is clamped to CampaignWorkers. Results do not
+// depend on the pool size, so the clamp never changes the stored bytes.
+func (s *Server) executed(sc *scenario.Scenario) *scenario.Scenario {
+	sc = sc.Clone()
+	if c := sc.Measure.Campaign; c != nil {
+		if limit := s.cfg.CampaignWorkers; limit > 0 && (c.Workers <= 0 || c.Workers > limit) {
+			c.Workers = limit
 		}
-		tc.Prof = r.prof
-		tc.Probe = r.coll
-		r.prog.SetTotal(1)
-		r.prog.PointStart()
-		start := time.Now()
-		res := traffic.RunTrans(tc)
-		r.prog.PointDone("trans", msSince(start))
-		v = res
-	case scenario.ModeCampaign:
-		cc, err := sc.CampaignConfig()
-		if err != nil {
-			return nil, err
-		}
-		cc.Base.Prof = r.prof
-		cc.Base.Metrics = r.reg
-		cc.Progress = r.prog
-		if limit := s.cfg.CampaignWorkers; limit > 0 && (cc.Workers <= 0 || cc.Workers > limit) {
-			cc.Workers = limit
-		}
-		v = traffic.Campaign(cc)
-	case scenario.ModeSweep:
-		cfg, err := sc.PacketConfig()
-		if err != nil {
-			return nil, err
-		}
-		cfg.Prof, cfg.Metrics, cfg.Probe = r.prof, r.reg, r.coll
-		r.prog.SetTotal(len(sc.Measure.SweepRates))
-		v = traffic.SweepProgress(cfg, sc.Measure.SweepRates, func(pd traffic.PointDone) {
-			r.prog.PointStart()
-			r.prog.PointDone(pd.Label, pd.WallMS)
-		})
-	default:
-		cfg, err := sc.PacketConfig()
-		if err != nil {
-			return nil, err
-		}
-		cfg.Prof, cfg.Metrics, cfg.Probe = r.prof, r.reg, r.coll
-		r.prog.SetTotal(1)
-		r.prog.PointStart()
-		start := time.Now()
-		res := traffic.Run(cfg)
-		r.prog.PointDone(fmt.Sprintf("%s/%s@%g", cfg.Topology, cfg.Pattern, cfg.Rate), msSince(start))
-		v = res
+	}
+	return sc
+}
+
+// runScenario executes sc through scenario.Execute, instrumented with
+// the run's own metrics rig, and serializes the result with
+// stats.WriteJSON — the exact bytes `noctraffic -scenario FILE
+// -wall=false -json` prints. Wall stays off: the wall-clock
+// self-profile is the one nondeterministic result field, and a
+// cacheable result must be deterministic.
+func runScenario(r *run, sc *scenario.Scenario) ([]byte, error) {
+	rep, err := scenario.Execute(sc, &scenario.Instruments{
+		Probe: r.coll, Metrics: r.reg, Prof: r.prof, Progress: r.prog,
+	})
+	if err != nil {
+		return nil, err
 	}
 	var buf bytes.Buffer
-	if err := stats.WriteJSON(&buf, v); err != nil {
+	if err := stats.WriteJSON(&buf, rep.Result()); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil
-}
-
-func msSince(start time.Time) float64 {
-	return float64(time.Since(start).Microseconds()) / 1e3
 }

@@ -126,10 +126,11 @@ type Server struct {
 	evicted   *metrics.Counter
 	running   *metrics.Gauge
 
-	// exec runs one accepted run and returns its result bytes. It is the
-	// scenario executor in production; the conformance tests override it
-	// to inject blocking, panicking, and failing runs.
-	exec func(*run) ([]byte, error)
+	// exec runs one accepted run — sc is the clone of its scenario that
+	// executes (see executed) — and returns its result bytes. It is
+	// runScenario in production; the conformance tests override it to
+	// inject blocking, panicking, and failing runs.
+	exec func(r *run, sc *scenario.Scenario) ([]byte, error)
 
 	mu       sync.Mutex
 	runs     map[string]*run
@@ -157,7 +158,7 @@ func newServer(cfg Config) *Server {
 		runs:  make(map[string]*run),
 		queue: make(chan *run, cfg.QueueDepth),
 	}
-	s.exec = s.runScenario
+	s.exec = runScenario
 	s.submitted = s.reg.Counter("noc_server_runs_submitted_total", "scenario submissions accepted (new runs enqueued)")
 	s.cacheHits = s.reg.Counter("noc_server_cache_hits_total", "submissions served from the content-addressed result cache")
 	s.completed = s.reg.Counter("noc_server_runs_completed_total", "runs finished with a result")

@@ -20,7 +20,7 @@ import (
 // newTestServer builds a service (with an optional exec hook installed
 // before the worker pool starts, so the override is race-free) behind
 // an httptest frontend, and tears both down in the right order.
-func newTestServer(t *testing.T, cfg Config, exec func(*run) ([]byte, error)) (*Server, *httptest.Server) {
+func newTestServer(t *testing.T, cfg Config, exec func(*run, *scenario.Scenario) ([]byte, error)) (*Server, *httptest.Server) {
 	t.Helper()
 	s := newServer(cfg)
 	if exec != nil {
@@ -216,7 +216,16 @@ func TestLifecycleAndCacheIdentity(t *testing.T) {
 // expected point count — and that the progress endpoint of a finished
 // run replays at least a final snapshot with the full point count.
 func TestSweepAndCampaignModes(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 2, CampaignWorkers: 2}, nil)
+	// The hook records the campaign pool size of the clone that actually
+	// executes; results no longer carry it (they must not depend on it).
+	executedWorkers := make(chan int, 1)
+	exec := func(r *run, sc *scenario.Scenario) ([]byte, error) {
+		if c := sc.Measure.Campaign; c != nil {
+			executedWorkers <- c.Workers
+		}
+		return runScenario(r, sc)
+	}
+	_, ts := newTestServer(t, Config{Workers: 2, CampaignWorkers: 2}, exec)
 	warm := int64(20)
 
 	sweep := &scenario.Scenario{
@@ -261,8 +270,8 @@ func TestSweepAndCampaignModes(t *testing.T) {
 	if len(cr.Points) != 4 {
 		t.Fatalf("campaign result has %d points, want 4", len(cr.Points))
 	}
-	if cr.Workers != 2 {
-		t.Fatalf("campaign ran on %d workers, want the server's cap of 2", cr.Workers)
+	if w := <-executedWorkers; w != 2 {
+		t.Fatalf("campaign ran on %d workers, want the server's cap of 2", w)
 	}
 	if cr.Wall != nil {
 		t.Fatal("campaign result carries a wall-clock block; results must stay deterministic")

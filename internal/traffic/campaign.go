@@ -55,12 +55,13 @@ type CampaignConfig struct {
 }
 
 // PointDone describes one completed sweep or campaign point for
-// progress callbacks.
+// progress callbacks (scenario.Execute reports single and trans runs
+// as one point too).
 type PointDone struct {
 	Index   int     // position in enumeration order
 	Done    int     // points completed so far, including this one
 	Total   int     // points scheduled
-	Label   string  // "<topology>/<pattern>@<rate>"
+	Label   string  // "<topology>/<pattern>@<rate>" ("trans@<rate>" for trans runs)
 	Seed    int64   // the point's derived seed
 	Offered float64 // offered injection rate
 	WallMS  float64 // wall-clock the point took
@@ -74,11 +75,10 @@ type CampaignPoint struct {
 
 // CampaignResult is the merged campaign report.
 type CampaignResult struct {
-	Nodes   int                `json:"nodes"`
-	Workers int                `json:"workers"`
-	Points  []CampaignPoint    `json:"points"` // topology-major, then pattern, then rate
-	Curves  []SweepResult      `json:"curves"` // one latency-vs-load curve per (topology, pattern)
-	Hist    []stats.HistBucket `json:"hist"`   // latency histogram merged across all points
+	Nodes  int                `json:"nodes"`
+	Points []CampaignPoint    `json:"points"` // topology-major, then pattern, then rate
+	Curves []SweepResult      `json:"curves"` // one latency-vs-load curve per (topology, pattern)
+	Hist   []stats.HistBucket `json:"hist"`   // latency histogram merged across all points
 
 	// Heatmaps holds one congestion heatmap per point, in point order,
 	// when CampaignConfig.HeatmapBuckets asked for them; each is
@@ -88,12 +88,13 @@ type CampaignResult struct {
 	// Wall is the campaign's wall-clock digest; populated only when
 	// Base.CollectWall is set. Without it the JSON report stays
 	// byte-identical for a given seed by repo convention — wall clock
-	// is the one number here that can't be.
+	// and the host's worker count are the numbers here that can't be.
 	Wall *CampaignWall `json:"wall,omitempty"`
 }
 
 // CampaignWall is the whole-campaign wall-clock self-profile.
 type CampaignWall struct {
+	Workers      int     `json:"workers"` // worker-pool size the campaign ran on
 	TotalMS      float64 `json:"total_ms"`
 	Events       uint64  `json:"events"`         // kernel events across all points (deterministic)
 	EventsPerSec float64 `json:"events_per_sec"` // aggregate across the worker pool
@@ -207,12 +208,11 @@ func Campaign(cfg CampaignConfig) CampaignResult {
 
 	cr := CampaignResult{
 		Nodes:    cfg.Base.withDefaults().Nodes,
-		Workers:  workers,
 		Points:   points,
 		Heatmaps: heatmaps,
 	}
 	if cfg.Base.CollectWall {
-		wall := &CampaignWall{TotalMS: durMS(time.Since(start))}
+		wall := &CampaignWall{Workers: workers, TotalMS: durMS(time.Since(start))}
 		for _, p := range points {
 			if p.Wall != nil {
 				wall.Events += p.Wall.Events
@@ -244,7 +244,7 @@ func Campaign(cfg CampaignConfig) CampaignResult {
 // (topology, pattern) curve.
 func (cr CampaignResult) Table() *stats.Table {
 	t := stats.NewTable(
-		fmt.Sprintf("campaign — %d points on %d workers", len(cr.Points), cr.Workers),
+		fmt.Sprintf("campaign — %d points", len(cr.Points)),
 		"topology", "pattern", "sat rate", "sat tput", "p99 @min rate", "p99 @max rate")
 	for _, c := range cr.Curves {
 		if len(c.Points) == 0 {

@@ -18,9 +18,10 @@ type NetConfig struct {
 	LegacyLock     bool // enable the global legacy-lock token (READEX/LOCK support)
 
 	// Shards partitions the fabric spatially across N >= 2 kernel shards
-	// (see internal/transport/shard.go). 0 or 1 keeps the serial fabric.
-	// Results are byte-identical for any shard count; only wall-clock
-	// behaviour changes. Not compatible with probes.
+	// (see internal/transport/shard.go), which then run on a
+	// sim.ShardGroup bound with BindShards. 0 or 1 keeps the serial
+	// fabric. Results are byte-identical for any shard count; only
+	// wall-clock behaviour changes. Not compatible with probes.
 	Shards int
 
 	// Fidelity selects the execution mode (see the Fidelity type).
@@ -136,11 +137,12 @@ type Network struct {
 	// serial fabric and Network-level NewPacket/Recycle callers.
 	pool pktPool
 
-	// mode, shards and routerShard are set by planShards when
-	// cfg.Shards >= 2 (see shard.go); a serial fabric leaves them zero.
-	mode        netMode
+	// shards and routerShard are set by planShards when cfg.Shards >= 2
+	// (see shard.go); a serial fabric leaves them zero. bound is set by
+	// BindShards, which moves the shards onto their group clocks.
 	shards      []shardState
 	routerShard []int
+	bound       bool
 
 	// OnTransit, when non-nil, observes every completed packet journey.
 	// Set it after the topology builder returns and before the simulation
@@ -186,66 +188,59 @@ type netTick struct{ n *Network }
 // and endpoints only read lane state committed in earlier cycles (and
 // push into staging), so the iteration order here cannot influence
 // results — the same discipline that made the per-component design
-// registration-order independent, and the same discipline that lets the
-// fork-join mode evaluate shards concurrently with identical results.
+// registration-order independent, and the same discipline that lets a
+// partitioned fabric evaluate its shards concurrently with identical
+// results.
 func (t netTick) Eval(cycle int64) {
-	switch t.n.mode {
-	case modeShardClocks:
-		// Each shard's tick runs on its own ShardGroup clock.
-	case modeForkJoin:
-		t.n.forkJoin(func(s int) { t.n.shardEval(s, cycle) })
-	default:
-		if le := t.n.loose; le != nil {
-			le.tick(cycle)
-			if t.n.looseCycleActive == 0 {
-				// No flit-path packets anywhere in the fabric: every
-				// lane is empty, so the switch/endpoint sweep would be
-				// a no-op. Skipping it is where the loose mode's
-				// speedup comes from.
-				t.n.looseSkippedEval = true
-				return
-			}
-			t.n.looseSkippedEval = false
+	if t.n.shards != nil {
+		if !t.n.bound {
+			panic("transport: a partitioned fabric (NetConfig.Shards >= 2) runs only on a sim.ShardGroup; call BindShards before the first cycle")
 		}
-		for _, r := range t.n.routers {
-			r.eval(cycle)
+		return // each shard's tick runs on its own ShardGroup clock
+	}
+	if le := t.n.loose; le != nil {
+		le.tick(cycle)
+		if t.n.looseCycleActive == 0 {
+			// No flit-path packets anywhere in the fabric: every
+			// lane is empty, so the switch/endpoint sweep would be
+			// a no-op. Skipping it is where the loose mode's
+			// speedup comes from.
+			t.n.looseSkippedEval = true
+			return
 		}
-		for _, ep := range t.n.epList {
-			ep.eval(cycle)
-		}
+		t.n.looseSkippedEval = false
+	}
+	for _, r := range t.n.routers {
+		r.eval(cycle)
+	}
+	for _, ep := range t.n.epList {
+		ep.eval(cycle)
 	}
 }
 
 // Update implements sim.Clocked: commit every lane's staged flits and
 // per-cycle marks in one batch pass.
 func (t netTick) Update(cycle int64) {
-	switch t.n.mode {
-	case modeShardClocks:
-		// Each shard's tick runs on its own ShardGroup clock.
-	case modeForkJoin:
-		if t.n.OnTransit != nil {
-			t.n.resolveTransits(cycle)
+	if t.n.shards != nil {
+		return // each shard's tick runs on its own ShardGroup clock
+	}
+	// When the switch sweep was skipped this cycle and no flit-path
+	// send was staged afterwards (traffic sources run after the
+	// fabric tick), no lane holds staged or committed flits and no
+	// output-freed marks were set — the commit sweep would be a
+	// no-op too. The receive queues still tick: the loose engine
+	// stages deliveries into them.
+	if !(t.n.looseSkippedEval && t.n.looseCycleActive == 0) {
+		for _, q := range t.n.qs {
+			q.commit()
 		}
-		t.n.forkJoin(func(s int) { t.n.shardUpdate(s, cycle) })
-	default:
-		// When the switch sweep was skipped this cycle and no flit-path
-		// send was staged afterwards (traffic sources run after the
-		// fabric tick), no lane holds staged or committed flits and no
-		// output-freed marks were set — the commit sweep would be a
-		// no-op too. The receive queues still tick: the loose engine
-		// stages deliveries into them.
-		if !(t.n.looseSkippedEval && t.n.looseCycleActive == 0) {
-			for _, q := range t.n.qs {
-				q.commit()
-			}
-			for _, r := range t.n.routers {
-				r.clearFreed()
-			}
+		for _, r := range t.n.routers {
+			r.clearFreed()
 		}
-		for _, ep := range t.n.epList {
-			if !ep.recvQ.Quiescent() {
-				ep.recvQ.Update(cycle)
-			}
+	}
+	for _, ep := range t.n.epList {
+		if !ep.recvQ.Quiescent() {
+			ep.recvQ.Update(cycle)
 		}
 	}
 }
@@ -539,7 +534,7 @@ func (ep *Endpoint) TrySend(p *Packet) bool {
 		// cycle-accurate flit path below.
 		ep.net.looseCycleActive++
 	}
-	if ep.net.mode == modeShardClocks {
+	if ep.net.bound {
 		// Per-endpoint ID streams: the fabric-wide counter would make IDs
 		// depend on cross-shard send interleaving. IDs never surface in
 		// results — they only key reassembly and lifecycle maps — so

@@ -28,25 +28,6 @@ import (
 // forced; the fixed order makes that visible and keeps it so if lanes ever
 // gain multiple feeders.
 
-// netMode selects how the fabric's per-cycle work is driven.
-type netMode uint8
-
-const (
-	// modeSerial: the PR 7 single-threaded netTick. Always used when
-	// NetConfig.Shards <= 1; every code path is byte-for-byte the serial
-	// one.
-	modeSerial netMode = iota
-	// modeForkJoin: netTick forks one goroutine per shard inside its Eval
-	// and Update, joining before returning. The fabric's clock, packet IDs,
-	// and external callers (NIUs, benchmarks) stay serial. Default when
-	// NetConfig.Shards >= 2.
-	modeForkJoin
-	// modeShardClocks: each shard's tick runs on its own sim.ShardGroup
-	// clock; cross-shard observation (transit records) merges at the
-	// group's horizon barrier. Entered via BindShards.
-	modeShardClocks
-)
-
 // pktPool is a packet-descriptor free list. Each shard owns one, so pooled
 // descriptors never cross goroutines (no races, no false sharing); the
 // serial fabric uses a single pool with identical behaviour.
@@ -262,7 +243,6 @@ func (n *Network) planShards(routerShard []int, epShard []int) {
 			n.shards[owner[lane]].wires = append(n.shards[owner[lane]].wires, w)
 		}
 	}
-	n.mode = modeForkJoin
 }
 
 // NumShards returns the number of shards the fabric is partitioned into
@@ -321,7 +301,7 @@ func (n *Network) BindShards(g *sim.ShardGroup) {
 	if n.shards == nil {
 		panic("transport: BindShards requires NetConfig.Shards >= 2 at build time")
 	}
-	if n.mode == modeShardClocks {
+	if n.bound {
 		panic("transport: BindShards called twice")
 	}
 	if n.probe != nil {
@@ -330,7 +310,7 @@ func (n *Network) BindShards(g *sim.ShardGroup) {
 	if g.Shards() != len(n.shards) {
 		panic(fmt.Sprintf("transport: group has %d shards, fabric partitioned into %d", g.Shards(), len(n.shards)))
 	}
-	n.mode = modeShardClocks
+	n.bound = true
 	g.SetLookahead(n.shardLookahead())
 	g.SetSerial(n.resolveTransits)
 	for s := range n.shards {
@@ -396,9 +376,8 @@ func (n *Network) shardUpdate(s int, cycle int64) {
 }
 
 // resolveTransits is the serial merge point for completed packet journeys:
-// it runs with every shard quiesced (at the group's horizon barrier in
-// shard-clock mode, or at the head of the fabric Update in fork-join mode)
-// and resolves each ejected packet against its source endpoint's lifecycle
+// it runs with every shard quiesced, at the group's horizon barrier, and
+// resolves each ejected packet against its source endpoint's lifecycle
 // map in fixed shard order, then hands the record to OnTransit.
 func (n *Network) resolveTransits(cycle int64) {
 	for s := range n.shards {
@@ -420,43 +399,6 @@ func (n *Network) resolveTransits(cycle int64) {
 			tr.pkt = nil
 		}
 		st.transits = st.transits[:0]
-	}
-}
-
-// forkJoin runs f(s) for every shard concurrently and returns when all have
-// finished, re-raising the first panic on the caller's goroutine.
-func (n *Network) forkJoin(f func(s int)) {
-	type result struct{ panicked any }
-	S := len(n.shards)
-	done := make(chan result, S-1)
-	for s := 1; s < S; s++ {
-		go func(s int) {
-			var res result
-			defer func() {
-				if r := recover(); r != nil {
-					res.panicked = r
-				}
-				done <- res
-			}()
-			f(s)
-		}(s)
-	}
-	var first any
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				first = r
-			}
-		}()
-		f(0)
-	}()
-	for s := 1; s < S; s++ {
-		if res := <-done; res.panicked != nil && first == nil {
-			first = res.panicked
-		}
-	}
-	if first != nil {
-		panic(first)
 	}
 }
 
