@@ -141,19 +141,6 @@ func BenchmarkE9ServiceAblation(b *testing.B) {
 	}
 }
 
-// BenchmarkFabricPacketRate measures raw simulator speed: packets moved
-// through a 4x4 mesh per wall-clock second (throughput of the simulator
-// itself, useful for sizing larger studies).
-func BenchmarkFabricPacketRate(b *testing.B) {
-	// One long-lived network reused across iterations.
-	s := soc.BuildNoC(soc.Config{Seed: 1, Quiet: true, Topology: soc.Mesh})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Clk.RunCycles(100)
-	}
-	b.ReportMetric(float64(s.Net.Injected()), "pkts")
-}
-
 // BenchmarkE10TrafficSweep runs the latency-vs-offered-load sweeps and
 // reports the measured saturation throughputs as benchmark metrics.
 func BenchmarkE10TrafficSweep(b *testing.B) {

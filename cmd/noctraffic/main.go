@@ -27,13 +27,10 @@
 //
 // One execution path: every invocation runs through scenario.Execute.
 // A flag-only invocation is lifted into the scenario it describes (the
-// lift -save-scenario exports), and the observability, metrics and
-// parallel-kernel flags become its scenario.Instruments — so
-// `noctraffic -scenario FILE -wall=false -json` prints exactly the
-// bytes nocserver stores for FILE. -shards N partitions the packet
-// rig's fabric across N parallel kernel shards for single runs and
-// sweeps (results are byte-identical to serial); -campaign ignores it
-// and -trans rejects it.
+// lift -save-scenario exports), and the observability and metrics
+// flags become its scenario.Instruments — so `noctraffic -scenario FILE
+// -wall=false -json` prints exactly the bytes nocserver stores for
+// FILE.
 //
 // Observability (internal/obs, reference in docs/OBSERVABILITY.md):
 // -trace writes a Chrome trace_event file of the run's
@@ -76,7 +73,7 @@
 //	           [-heatmap-bucket N] [-heatmap-csv FILE]
 //	           [-metrics-addr ADDR] [-metrics-out FILE]
 //	           [-metrics-interval D] [-scenario NAME|FILE]
-//	           [-save-scenario FILE] [-list-scenarios] [-shards N]
+//	           [-save-scenario FILE] [-list-scenarios]
 //	           [-cpuprofile FILE] [-memprofile FILE]
 package main
 
@@ -106,7 +103,7 @@ var (
 	topo       = flag.String("topology", "crossbar", "fabric: crossbar, mesh, torus, ring, or tree")
 	nodes      = flag.Int("nodes", 16, "endpoint count")
 	mode       = flag.String("mode", "wormhole", "switching: wormhole or saf")
-	fidelity   = flag.String("fidelity", "cycle", "execution fidelity: cycle (exact), hybrid (analytic until links heat up), or loose (always analytic); approximate modes force a serial fabric (docs/PERFORMANCE.md)")
+	fidelity   = flag.String("fidelity", "cycle", "execution fidelity: cycle (exact), hybrid (analytic until links heat up), or loose (always analytic) (docs/PERFORMANCE.md)")
 	looseThr   = flag.Float64("loose-threshold", 0, "hybrid/loose: link-utilization fraction above which a region falls back to cycle-accurate (0 = default 0.35)")
 	looseHyst  = flag.Float64("loose-hysteresis", 0, "hybrid/loose: a hot region cools below threshold*hysteresis (0 = default 0.5)")
 	looseWin   = flag.Int64("loose-window", 0, "hybrid/loose: cycles per link-utilization epoch (0 = default 256)")
@@ -133,7 +130,6 @@ var (
 	topoList   = flag.String("topologies", "crossbar,mesh,torus,ring,tree", "campaign: comma-separated topologies")
 	patList    = flag.String("patterns", "uniform,hotspot", "campaign: comma-separated patterns")
 	workers    = flag.Int("workers", 0, "campaign: worker-pool size (default: GOMAXPROCS)")
-	shardsN    = flag.Int("shards", 0, "partition the packet rig's fabric across N parallel kernel shards; results are byte-identical to serial (0/1 = serial; single runs and -sweep only: ignored by -campaign, which parallelizes across points, and rejected by -trans)")
 	trans      = flag.Bool("trans", false, "transaction-level load through the SoC's NIUs")
 	hotspotMem = flag.Bool("hotspot-mem", false, "trans: all masters hammer one memory")
 	wb         = flag.Bool("wb", false, "trans: include the WISHBONE master (and its memory) in the driven SoC")
@@ -284,18 +280,13 @@ func run(sc *scenario.Scenario, mx *metricsRun) {
 		bucket = *heatBucket
 	}
 	sk := newSinks(*traceFile, *eventsFile, *heatFile, *heatCSV, bucket)
-	in := &scenario.Instruments{Probe: sk.probe(), Wall: *wallOut, Shards: *shardsN}
+	in := &scenario.Instruments{Probe: sk.probe(), Wall: *wallOut}
 	if sk.mon != nil {
 		in.HeatmapBucket = bucket // campaigns: one heatmap per point
 	}
 	if mx != nil {
 		in.Metrics, in.Prof, in.Progress = mx.reg, mx.prof, mx.prog
-		// The per-router collector is single-threaded by the probe
-		// contract: attaching it implicitly would force a sharded run
-		// back to serial. Explicit probes (-trace, -heatmap) still do.
-		if *shardsN <= 1 {
-			in.Probe = obs.Multi(in.Probe, mx.coll)
-		}
+		in.Probe = obs.Multi(in.Probe, mx.coll)
 	}
 	var label string
 	start := time.Now()

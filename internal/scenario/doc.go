@@ -34,9 +34,9 @@
 //   - Execute (execute.go) — the one execution path: it runs whichever
 //     mode the measure section selects (single, sweep, campaign,
 //     trans), observed through optional Instruments (probe, metrics,
-//     progress, per-point callback, wall clock, campaign heatmaps,
-//     packet-rig shards). noctraffic, nocserver and experiment E14 all
-//     run scenarios through it.
+//     progress, per-point callback, wall clock, campaign heatmaps).
+//     noctraffic, nocserver and experiment E14 all run scenarios
+//     through it.
 //
 //   - The registry (registry.go) — built-in named compositions
 //     (cpu-dma-display, camera-isp-pipeline, hotspot-dram,

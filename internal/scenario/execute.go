@@ -68,17 +68,12 @@ type Instruments struct {
 	// HeatmapBucket, when positive, gives every campaign point its own
 	// congestion heatmap with that bucket width in cycles.
 	HeatmapBucket int64
-	// Shards partitions the packet rig's fabric of single and sweep runs
-	// across parallel kernel shards. Campaigns parallelize across points
-	// instead and ignore it; soc workloads reject it, since the SoC
-	// fabric runs on the system's single clock.
-	Shards int
 }
 
 // packet attaches the instruments to a packet-rig config.
 func (in *Instruments) packet(cfg *traffic.Config) {
 	cfg.Probe, cfg.Metrics, cfg.Prof = in.Probe, in.Metrics, in.Prof
-	cfg.CollectWall, cfg.Shards = in.Wall, in.Shards
+	cfg.CollectWall = in.Wall
 }
 
 // point runs a one-simulation mode as a one-point run, reporting it to
@@ -112,9 +107,6 @@ func Execute(s *Scenario, in *Instruments) (*Report, error) {
 	rep := &Report{Scenario: s.Name, Mode: s.Mode()}
 	switch rep.Mode {
 	case ModeTrans:
-		if in.Shards > 1 {
-			return nil, fmt.Errorf("scenario %q: shards partition the packet rig; a %s workload runs its fabric on the SoC's single clock", s.Name, KindSoC)
-		}
 		tc, err := s.TransConfig()
 		if err != nil {
 			return nil, err

@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 
 	"gonoc/internal/obs/metrics"
@@ -66,15 +65,5 @@ func TestInstrumentsPassive(t *testing.T) {
 				t.Fatalf("progress %d/%d, want %d/%d", p.PointsDone, p.PointsTotal, c.points, c.points)
 			}
 		})
-	}
-}
-
-// TestExecuteRejectsShardedSoC: shards partition the packet rig only;
-// a soc workload asked to shard fails instead of silently running
-// serially.
-func TestExecuteRejectsShardedSoC(t *testing.T) {
-	s := FromTransConfig("trans", traffic.TransConfig{Seed: 3, Measure: 100})
-	if _, err := Execute(s, &Instruments{Shards: 2}); err == nil || !strings.Contains(err.Error(), "shards") {
-		t.Fatalf("sharded soc run: err = %v, want a shards error", err)
 	}
 }

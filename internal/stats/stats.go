@@ -32,8 +32,9 @@ func (l *Latency) Record(v int64) {
 
 // Merge folds other's samples into l. Because the summary statistics are
 // order-invariant (sum, extrema, and nearest-rank percentiles on a sorted
-// copy), merging per-shard recorders yields byte-identical results to one
-// recorder having seen every sample, regardless of shard count.
+// copy), merging per-source recorders (one per generator, say) yields
+// byte-identical results to one recorder having seen every sample, in any
+// grouping.
 func (l *Latency) Merge(other *Latency) {
 	if other.Count() == 0 {
 		return

@@ -294,7 +294,7 @@ func TestHistogramJSONBounds(t *testing.T) {
 }
 
 func TestLatencyMerge(t *testing.T) {
-	// Merging shard-local recorders must be indistinguishable from one
+	// Merging per-source recorders must be indistinguishable from one
 	// recorder having seen all samples, in any grouping.
 	all := []int64{40, 7, 993, 12, 12, 88, 3, 560, 41, 2}
 	var whole Latency

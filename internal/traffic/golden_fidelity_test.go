@@ -12,40 +12,29 @@ import (
 )
 
 // TestFidelityCycleGoldenInert proves the fidelity knob's off position:
-// an explicit fidelity=cycle run — serial and sharded — must reproduce
-// every committed topology golden byte for byte. The knob being present
-// in NetConfig may not perturb a single observable number when it is
-// not engaged.
+// an explicit fidelity=cycle run must reproduce every committed topology
+// golden byte for byte. The knob being present in NetConfig may not
+// perturb a single observable number when it is not engaged.
 func TestFidelityCycleGoldenInert(t *testing.T) {
 	for _, g := range goldenRuns {
-		for _, variant := range []struct {
-			name   string
-			shards int
-		}{
-			{"serial", 0},
-			{"sharded", 4},
-		} {
-			t.Run(g.name+"/"+variant.name, func(t *testing.T) {
-				cfg := g.cfg
-				cfg.Net.Fidelity = transport.FidelityCycle
-				cfg.Shards = variant.shards
-				res := Run(cfg)
-				var buf bytes.Buffer
-				enc := json.NewEncoder(&buf)
-				enc.SetIndent("", "  ")
-				if err := enc.Encode(res); err != nil {
-					t.Fatal(err)
-				}
-				golden := filepath.Join("testdata", fmt.Sprintf("topology_%s.golden.json", g.name))
-				want, err := os.ReadFile(golden)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(buf.Bytes(), want) {
-					t.Fatalf("%s/%s: fidelity=cycle diverged from the committed golden — the knob is not inert",
-						g.name, variant.name)
-				}
-			})
-		}
+		t.Run(g.name, func(t *testing.T) {
+			cfg := g.cfg
+			cfg.Net.Fidelity = transport.FidelityCycle
+			res := Run(cfg)
+			var buf bytes.Buffer
+			enc := json.NewEncoder(&buf)
+			enc.SetIndent("", "  ")
+			if err := enc.Encode(res); err != nil {
+				t.Fatal(err)
+			}
+			golden := filepath.Join("testdata", fmt.Sprintf("topology_%s.golden.json", g.name))
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(buf.Bytes(), want) {
+				t.Fatalf("%s: fidelity=cycle diverged from the committed golden — the knob is not inert", g.name)
+			}
+		})
 	}
 }

@@ -299,16 +299,16 @@ func (le *looseEngine) send(ep *Endpoint, p *Packet) bool {
 		panic(fmt.Sprintf("transport: packet of %d flits exceeds BufDepth %d (whole-packet buffering required)", nf, n.cfg.BufDepth))
 	}
 
-	now := ep.clk.Cycle()
+	now := n.clk.Cycle()
 	pa := le.pathFor(ep, p.Dst)
 	flits := int64(nf)
 
 	// Source injection port: one flit per cycle out of the send queue.
 	t := now + 1
-	if f := le.epFree[ep.idOrd]; f > t {
+	if f := le.epFree[ep.index]; f > t {
 		t = f
 	}
-	le.epFree[ep.idOrd] = t + flits
+	le.epFree[ep.index] = t + flits
 	inject := t
 
 	// Route links. Wormhole heads advance one hop per cycle;
@@ -333,16 +333,16 @@ func (le *looseEngine) send(ep *Endpoint, p *Packet) bool {
 		panic(fmt.Sprintf("transport: %v sending to unknown node %v", ep.node, p.Dst))
 	}
 	feed := t + 1
-	if f := le.ejFree[dst.idOrd]; f > feed {
+	if f := le.ejFree[dst.index]; f > feed {
 		feed = f
 	}
-	le.ejFree[dst.idOrd] = feed + flits
+	le.ejFree[dst.index] = feed + flits
 	eject := feed + flits - 1
 
 	// The fabric owns its copy from the moment of acceptance — the
 	// caller may reuse or Recycle p immediately, same contract as the
 	// flit path (which serializes into flit slots during the call).
-	cl := ep.pool.newPacket(len(p.Payload))
+	cl := n.pool.newPacket(len(p.Payload))
 	payload := cl.Payload
 	cl.Header = p.Header
 	cl.ID = p.ID
