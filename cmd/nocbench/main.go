@@ -46,37 +46,8 @@ func main() {
 	}
 	sel := func(id string) bool { return len(want) == 0 || want[id] }
 
-	// Experiments in suite order; each returns its tables.
-	suite := []struct {
-		id  string
-		run func() []*stats.Table
-	}{
-		{"E1", func() []*stats.Table { return []*stats.Table{experiments.E1CompatibilityMatrix(*seed)} }},
-		{"E2", func() []*stats.Table { return experiments.E2Performance(*seed, *requests) }},
-		{"E3", func() []*stats.Table { return []*stats.Table{experiments.E3SwitchingModes(*seed, *requests)} }},
-		{"E4", func() []*stats.Table { return []*stats.Table{experiments.E4Ordering(*seed)} }},
-		{"E5", func() []*stats.Table { return []*stats.Table{experiments.E5GateScaling()} }},
-		{"E6", func() []*stats.Table { return []*stats.Table{experiments.E6ExclusiveVsLock(*seed).Table} }},
-		{"E7", func() []*stats.Table { return []*stats.Table{experiments.E7QoS(*seed).Table} }},
-		{"E8", func() []*stats.Table { return experiments.E8Physical().Tables }},
-		{"E9", func() []*stats.Table { return []*stats.Table{experiments.E9ServiceAblation(*seed)} }},
-		{"E10", func() []*stats.Table { return experiments.E10TrafficSweep(*seed).Tables }},
-		{"E11", func() []*stats.Table { return experiments.E11WishboneAdapter(*seed).Tables }},
-		{"E12", func() []*stats.Table { return experiments.E12TopologyCampaign(*seed).Tables }},
-		{"E13", func() []*stats.Table { return experiments.E13CongestionHeatmap(*seed).Tables }},
-		{"E14", func() []*stats.Table { return experiments.E14Scenarios(*seed).Tables }},
-		{"E15", func() []*stats.Table { return experiments.E15SelfProfile(*seed).Tables }},
-		{"E16", func() []*stats.Table { return experiments.E16FidelitySweep(*seed).Tables }},
-	}
-
-	doc := struct {
-		Seed        int64                     `json:"seed"`
-		Requests    int                       `json:"requests"`
-		Experiments map[string][]*stats.Table `json:"experiments"`
-		Order       []string                  `json:"order"`
-	}{Seed: *seed, Requests: *requests, Experiments: map[string][]*stats.Table{}}
-
-	for _, e := range suite {
+	doc := report{Seed: *seed, Requests: *requests, Experiments: map[string][]*stats.Table{}}
+	for _, e := range suite(*seed, *requests) {
 		if !sel(e.id) {
 			continue
 		}
@@ -95,4 +66,40 @@ func main() {
 			log.Fatal(err)
 		}
 	}
+}
+
+// experiment is one suite entry: an id and the run producing its tables.
+type experiment struct {
+	id  string
+	run func() []*stats.Table
+}
+
+// suite lists the experiments in suite order.
+func suite(seed int64, requests int) []experiment {
+	return []experiment{
+		{"E1", func() []*stats.Table { return []*stats.Table{experiments.E1CompatibilityMatrix(seed)} }},
+		{"E2", func() []*stats.Table { return experiments.E2Performance(seed, requests) }},
+		{"E3", func() []*stats.Table { return []*stats.Table{experiments.E3SwitchingModes(seed, requests)} }},
+		{"E4", func() []*stats.Table { return []*stats.Table{experiments.E4Ordering(seed)} }},
+		{"E5", func() []*stats.Table { return []*stats.Table{experiments.E5GateScaling()} }},
+		{"E6", func() []*stats.Table { return []*stats.Table{experiments.E6ExclusiveVsLock(seed).Table} }},
+		{"E7", func() []*stats.Table { return []*stats.Table{experiments.E7QoS(seed).Table} }},
+		{"E8", func() []*stats.Table { return experiments.E8Physical().Tables }},
+		{"E9", func() []*stats.Table { return []*stats.Table{experiments.E9ServiceAblation(seed)} }},
+		{"E10", func() []*stats.Table { return experiments.E10TrafficSweep(seed).Tables }},
+		{"E11", func() []*stats.Table { return experiments.E11WishboneAdapter(seed).Tables }},
+		{"E12", func() []*stats.Table { return experiments.E12TopologyCampaign(seed).Tables }},
+		{"E13", func() []*stats.Table { return experiments.E13CongestionHeatmap(seed).Tables }},
+		{"E14", func() []*stats.Table { return experiments.E14Scenarios(seed).Tables }},
+		{"E15", func() []*stats.Table { return experiments.E15SelfProfile(seed).Tables }},
+		{"E16", func() []*stats.Table { return experiments.E16FidelitySweep(seed).Tables }},
+	}
+}
+
+// report is the -json document.
+type report struct {
+	Seed        int64                     `json:"seed"`
+	Requests    int                       `json:"requests"`
+	Experiments map[string][]*stats.Table `json:"experiments"`
+	Order       []string                  `json:"order"`
 }
