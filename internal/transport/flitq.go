@@ -126,6 +126,16 @@ type flitQ struct {
 	stride    int // payload bytes per slot (the fabric's flit width)
 	unbounded bool
 
+	// owner is the switch whose input lane this is (nil for ejection
+	// buffers and send queues); pushes bump its buffered count.
+	owner *Router
+
+	// touched marks a queue pushed or popped this cycle; the first touch
+	// appends it to *batch, the owning Network's commit list, so the
+	// commit pass visits only queues whose state changed.
+	touched bool
+	batch   *[]*flitQ
+
 	ring flitSlots
 	mask int // len(ring arrays) - 1, power of two
 	head int // ring index of the oldest committed slot
@@ -196,7 +206,16 @@ func (q *flitQ) stagePush() int {
 	}
 	i := (q.head + q.clen + q.pend) & q.mask
 	q.pend++
+	q.touch()
 	return i
+}
+
+// touch queues q for this cycle's commit pass.
+func (q *flitQ) touch() {
+	if !q.touched {
+		q.touched = true
+		*q.batch = append(*q.batch, q)
+	}
 }
 
 // pushFlit stages the exported Flit f — the compat path for code that
@@ -218,6 +237,7 @@ func (q *flitQ) pushFlit(f Flit) bool {
 func (q *flitQ) pop() {
 	q.head = (q.head + 1) & q.mask
 	q.clen--
+	q.touch()
 }
 
 // peek returns the oldest committed slot as a Flit view.
@@ -237,12 +257,13 @@ func (q *flitQ) Len() int { return q.clen }
 
 // commit publishes this cycle's staged slots (already written in place
 // behind the committed window) and refreshes the credit snapshot. The
-// Network calls it for every lane on every edge; the cost is a few
-// integer stores whether the lane moved flits or sat idle.
+// Network calls it on the edge for every queue touched that cycle; an
+// untouched queue's commit would change nothing.
 func (q *flitQ) commit() {
 	q.clen += q.pend
 	q.pend = 0
 	q.startLen = q.clen
+	q.touched = false
 }
 
 // growRing doubles the ring until need slots fit (unbounded queues

@@ -102,7 +102,7 @@ type Network struct {
 	cfg NetConfig
 
 	routers []*Router
-	qs      []*flitQ // every flit lane in the fabric, committed per edge
+	touched []*flitQ // flit queues pushed or popped this cycle, committed per edge
 	adj     [][]int  // adj[router][port] = downstream router index, -1 endpoint/unconnected
 	eps     map[noctypes.NodeID]*Endpoint
 	epOrder []noctypes.NodeID
@@ -226,23 +226,14 @@ func (t netTick) Eval(cycle int64) {
 	}
 }
 
-// Update implements sim.Clocked: commit every lane's staged flits and
-// per-cycle marks in one batch pass.
+// Update implements sim.Clocked: commit the staged flits and credits of
+// every queue touched this cycle in one batch pass, then tick the
+// receive queues.
 func (t netTick) Update(cycle int64) {
-	// When the switch sweep was skipped this cycle and no flit-path
-	// send was staged afterwards (traffic sources run after the
-	// fabric tick), no lane holds staged or committed flits and no
-	// output-freed marks were set — the commit sweep would be a
-	// no-op too. The receive queues still tick: the loose engine
-	// stages deliveries into them.
-	if !(t.n.looseSkippedEval && t.n.looseCycleActive == 0) {
-		for _, q := range t.n.qs {
-			q.commit()
-		}
-		for _, r := range t.n.routers {
-			r.clearFreed()
-		}
+	for _, q := range t.n.touched {
+		q.commit()
 	}
+	t.n.touched = t.n.touched[:0]
 	for _, ep := range t.n.epList {
 		if !ep.recvQ.Quiescent() {
 			ep.recvQ.Update(cycle)
@@ -254,7 +245,7 @@ func (t netTick) Update(cycle int64) {
 // commit pass.
 func (n *Network) addLane(name string, capacity int) *flitQ {
 	q := newFlitQ(name, capacity, n.cfg.FlitBytes)
-	n.qs = append(n.qs, q)
+	q.batch = &n.touched
 	return q
 }
 
@@ -424,7 +415,7 @@ func (n *Network) attach(node noctypes.NodeID, r *Router, port int) *Endpoint {
 		times:  make(map[uint64]pktTimes),
 		index:  len(n.epList),
 	}
-	n.qs = append(n.qs, ep.sendQ)
+	ep.sendQ.batch = &n.touched
 	n.eps[node] = ep
 	n.epOrder = append(n.epOrder, node)
 	n.epList = append(n.epList, ep)
@@ -592,6 +583,7 @@ func (ep *Endpoint) eval(cycle int64) {
 		lane := ep.router.lanes[ep.port][q.ring.vc[hs]]
 		if lane.canPush(1) {
 			si := lane.stagePush()
+			ep.router.buffered++
 			lane.ring.copySlot(si, &q.ring, hs, q.stride)
 			fl := q.ring.flags[hs]
 			if fl&slotHead != 0 {

@@ -90,14 +90,24 @@ type Router struct {
 	laneHdr  [][]Header // [port][vc] header of packet in flight
 	laneAl   [][]int    // [port][vc] allocated output, -1
 	outHold  []laneRef  // per output: lane holding it
-	outFreed []bool     // freed this cycle; not reallocatable
+	outFreed []int64    // per output: cycle a tail last freed it; not reallocatable that cycle
 	outLock  []int32    // per output: locked-for source NodeID, -1
 	rr       []int      // per output: round-robin port pointer
 
-	table map[noctypes.NodeID]int
+	// table maps a destination NodeID to its output port; -1 = no route.
+	table []int32
 
-	// cands is the arbitration candidate scratch, reused across cycles
-	// so steady-state arbitration never allocates.
+	// buffered counts flits staged or committed in this switch's input
+	// lanes, held its held outputs. While both are zero the switch has
+	// nothing to move or allocate, and eval returns early.
+	buffered int
+	held     int
+
+	// bids[o] lists the ready, unallocated lanes whose head routes to
+	// output o, collected in one pass per cycle; only outputs with bids
+	// are arbitrated. cands is the arbitration scratch. Both are reused
+	// across cycles so steady-state arbitration never allocates.
+	bids  [][]laneRef
 	cands []arbCand
 
 	// vcOut, when non-nil, rewrites a flit's virtual channel as it leaves
@@ -133,11 +143,7 @@ func newRouter(n *Network, name string, numPorts int, cfg RouterConfig) *Router 
 	if cfg.FlitBytes <= 0 {
 		panic(fmt.Sprintf("transport: router %q: FlitBytes must be positive", name))
 	}
-	r := &Router{
-		name:  name,
-		cfg:   cfg,
-		table: make(map[noctypes.NodeID]int),
-	}
+	r := &Router{name: name, cfg: cfg}
 	r.lanes = make([][]*flitQ, numPorts)
 	r.outs = make([][]*flitQ, numPorts)
 	r.laneHdr = make([][]Header, numPorts)
@@ -149,15 +155,18 @@ func newRouter(n *Network, name string, numPorts int, cfg RouterConfig) *Router 
 		r.laneAl[p] = make([]int, NumVCs)
 		for v := 0; v < NumVCs; v++ {
 			r.lanes[p][v] = n.addLane(fmt.Sprintf("%s.in%d.vc%d", name, p, v), cfg.BufDepth)
+			r.lanes[p][v].owner = r
 			r.laneAl[p][v] = -1
 		}
 	}
 	r.outHold = make([]laneRef, numPorts)
-	r.outFreed = make([]bool, numPorts)
+	r.outFreed = make([]int64, numPorts)
 	r.outLock = make([]int32, numPorts)
 	r.rr = make([]int, numPorts)
+	r.bids = make([][]laneRef, numPorts)
 	for o := range r.outHold {
 		r.outHold[o] = noLane
+		r.outFreed[o] = -1
 		r.outLock[o] = -1
 	}
 	r.stats.OutBusy = make([]uint64, numPorts)
@@ -184,17 +193,21 @@ func (r *Router) setRoute(node noctypes.NodeID, port int) {
 	if port < 0 || port >= len(r.lanes) {
 		panic(fmt.Sprintf("transport: router %q: route %v -> bad port %d", r.name, node, port))
 	}
-	r.table[node] = port
+	for int(node) >= len(r.table) {
+		r.table = append(r.table, -1)
+	}
+	r.table[node] = int32(port)
 }
 
 // routeFor returns the output port for a destination. Unroutable
 // destinations are topology-construction bugs and panic.
 func (r *Router) routeFor(dst noctypes.NodeID) int {
-	p, ok := r.table[dst]
-	if !ok {
-		panic(fmt.Sprintf("transport: router %q has no route to %v", r.name, dst))
+	if int(dst) < len(r.table) {
+		if p := r.table[dst]; p >= 0 {
+			return int(p)
+		}
 	}
-	return p
+	panic(fmt.Sprintf("transport: router %q has no route to %v", r.name, dst))
 }
 
 // setVCOut declares that flits arriving on input port in leave output
@@ -227,8 +240,50 @@ func (r *Router) eval(cycle int64) {
 	if r.probe != nil {
 		r.sampleBuffers(cycle)
 	}
+	if r.buffered == 0 && r.held == 0 {
+		return // idle switch: no flit to move, no output to allocate
+	}
 
-	// Phase 1: continuing packets move one flit toward their held output.
+	r.advanceHeld(cycle)
+
+	// Phase 2: allocate outputs that were free at cycle start. Each
+	// ready, unallocated lane bids for the one output its head routes
+	// to; only outputs with bids are arbitrated. A grant moves flits of
+	// the winning lane only, so it cannot change another output's bids.
+	if r.buffered == 0 {
+		return
+	}
+	for p := range r.lanes {
+		for v := 0; v < NumVCs; v++ {
+			if r.laneAl[p][v] != -1 {
+				continue
+			}
+			if hs, ok := r.ready(p, v); ok {
+				o := r.routeFor(r.lanes[p][v].ring.hdr[hs].Dst)
+				r.bids[o] = append(r.bids[o], laneRef{p, v})
+			}
+		}
+	}
+	for o, bids := range r.bids {
+		if len(bids) == 0 {
+			continue
+		}
+		r.bids[o] = bids[:0]
+		if r.outHold[o] != noLane || r.outFreed[o] == cycle {
+			continue
+		}
+		if r.outs[o][VCNormal] == nil {
+			continue // unconnected port (mesh edge)
+		}
+		if win := r.arbitrate(o, bids); win != noLane {
+			r.grant(cycle, o, win)
+		}
+	}
+}
+
+// advanceHeld is allocation phase 1: each held output moves one flit
+// of its packet.
+func (r *Router) advanceHeld(cycle int64) {
 	for o := range r.outHold {
 		ln := r.outHold[o]
 		if ln == noLane {
@@ -238,44 +293,27 @@ func (r *Router) eval(cycle int64) {
 			r.noteStall(cycle, o)
 		}
 	}
-
-	// Phase 2: allocate outputs that were free at cycle start.
-	for o := range r.outHold {
-		if r.outHold[o] != noLane || r.outFreed[o] {
-			continue
-		}
-		if r.outs[o][VCNormal] == nil {
-			continue // unconnected port (mesh edge)
-		}
-		win := r.arbitrate(o)
-		if win == noLane {
-			continue
-		}
-		lane := r.lanes[win.port][win.vc]
-		hs := lane.slot(0)
-		r.outHold[o] = win
-		r.laneAl[win.port][win.vc] = o
-		r.laneHdr[win.port][win.vc] = lane.ring.hdr[hs]
-		r.rr[o] = win.port + 1
-		if r.probe != nil {
-			hdr := &lane.ring.hdr[hs]
-			r.probe.Event(obs.Event{
-				Kind: obs.KindVCAlloc, Cycle: cycle, PktID: lane.ring.pktID[hs],
-				Src: hdr.Src, Dst: hdr.Dst,
-				Router: r.index, Port: o, VC: r.outVC(win.port, o, lane.ring.vc[hs]),
-			})
-		}
-		if !r.moveFlit(cycle, o, win) {
-			r.noteStall(cycle, o)
-		}
-	}
 }
 
-// clearFreed resets the per-cycle output-freed marks; the Network's
-// fabric tick calls it in the commit phase.
-func (r *Router) clearFreed() {
-	for o := range r.outFreed {
-		r.outFreed[o] = false
+// grant hands free output o to lane win and moves its head flit.
+func (r *Router) grant(cycle int64, o int, win laneRef) {
+	lane := r.lanes[win.port][win.vc]
+	hs := lane.slot(0)
+	r.outHold[o] = win
+	r.held++
+	r.laneAl[win.port][win.vc] = o
+	r.laneHdr[win.port][win.vc] = lane.ring.hdr[hs]
+	r.rr[o] = win.port + 1
+	if r.probe != nil {
+		hdr := &lane.ring.hdr[hs]
+		r.probe.Event(obs.Event{
+			Kind: obs.KindVCAlloc, Cycle: cycle, PktID: lane.ring.pktID[hs],
+			Src: hdr.Src, Dst: hdr.Dst,
+			Router: r.index, Port: o, VC: r.outVC(win.port, o, lane.ring.vc[hs]),
+		})
+	}
+	if !r.moveFlit(cycle, o, win) {
+		r.noteStall(cycle, o)
 	}
 }
 
@@ -328,12 +366,16 @@ func (r *Router) moveFlit(cycle int64, o int, ln laneRef) bool {
 		return false // downstream backpressure
 	}
 	si := dst.stagePush()
+	if dst.owner != nil {
+		dst.owner.buffered++
+	}
 	dst.ring.copySlot(si, &lane.ring, hs, lane.stride)
 	dst.ring.vc[si] = vc
 	dst.ring.hops[si] = lane.ring.hops[hs] + 1
 	pktID := lane.ring.pktID[hs]
 	tail := lane.ring.flags[hs]&slotTail != 0
 	lane.pop()
+	r.buffered--
 	r.stats.FlitsMoved++
 	r.stats.OutBusy[o]++
 	if r.probe != nil {
@@ -346,7 +388,8 @@ func (r *Router) moveFlit(cycle int64, o int, ln laneRef) bool {
 		r.stats.PktsMoved++
 		hdr := r.laneHdr[ln.port][ln.vc]
 		r.outHold[o] = noLane
-		r.outFreed[o] = true
+		r.held--
+		r.outFreed[o] = cycle
 		r.laneAl[ln.port][ln.vc] = -1
 		// Lock reservations persist between the packets of a locked
 		// sequence and dissolve when the unlocking packet's tail passes.
@@ -400,39 +443,29 @@ func (r *Router) ready(port, vc int) (int, bool) {
 	return hs, true
 }
 
-// arbitrate picks the winning lane for free output o, or noLane.
-func (r *Router) arbitrate(o int) laneRef {
+// arbitrate picks the winning lane for free output o among the lanes
+// bidding for it (ready, unallocated, routed to o), or noLane.
+func (r *Router) arbitrate(o int, bids []laneRef) laneRef {
 	cands := r.cands[:0]
-	for p := range r.lanes {
-		for v := 0; v < NumVCs; v++ {
-			if r.laneAl[p][v] != -1 {
-				continue
-			}
-			hs, ok := r.ready(p, v)
-			if !ok {
-				continue
-			}
-			lane := r.lanes[p][v]
-			hdr := &lane.ring.hdr[hs]
-			if r.routeFor(hdr.Dst) != o {
-				continue
-			}
-			if lk := r.outLock[o]; lk >= 0 && noctypes.NodeID(lk) != hdr.Src {
-				r.stats.LockStalls++
-				continue
-			}
-			// Virtual-cut-through admission: grant only with space for
-			// the whole packet downstream (canPush keeps the check
-			// consistent with the lanes' one-cycle credit semantics).
-			if r.cfg.CutThrough {
-				need := FlitCount(HeaderBytes+int(hdr.PayloadLen), r.cfg.FlitBytes)
-				ovc := r.outVC(p, o, lane.ring.vc[hs])
-				if !r.outs[o][ovc].canPush(need) {
-					continue
-				}
-			}
-			cands = append(cands, arbCand{laneRef{p, v}, hdr.Priority})
+	for _, ln := range bids {
+		lane := r.lanes[ln.port][ln.vc]
+		hs := lane.slot(0)
+		hdr := &lane.ring.hdr[hs]
+		if lk := r.outLock[o]; lk >= 0 && noctypes.NodeID(lk) != hdr.Src {
+			r.stats.LockStalls++
+			continue
 		}
+		// Virtual-cut-through admission: grant only with space for the
+		// whole packet downstream (canPush keeps the check consistent
+		// with the lanes' one-cycle credit semantics).
+		if r.cfg.CutThrough {
+			need := FlitCount(HeaderBytes+int(hdr.PayloadLen), r.cfg.FlitBytes)
+			ovc := r.outVC(ln.port, o, lane.ring.vc[hs])
+			if !r.outs[o][ovc].canPush(need) {
+				continue
+			}
+		}
+		cands = append(cands, arbCand{ln, hdr.Priority})
 	}
 	r.cands = cands[:0] // keep the (possibly grown) scratch for next cycle
 	if len(cands) == 0 {
