@@ -1,5 +1,5 @@
 // Package gonoc_test holds the repository-level benchmark harness: one
-// benchmark per experiment table/figure (E1–E16; see README.md).
+// benchmark per experiment table/figure (E1–E15; see README.md).
 // Each benchmark runs the corresponding experiment end to end and reports
 // the headline simulated-cycle metrics alongside wall-clock ns/op, so
 // `go test -bench=. -benchmem` regenerates every result.
@@ -279,21 +279,4 @@ func BenchmarkE15SelfProfile(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(events), "simevents")
-}
-
-// BenchmarkE16FidelitySweep runs the hybrid-fidelity error-bound
-// harness: the operating-envelope sweep must stay inside the declared
-// tolerances (mean/p50/p99 latency 5%, throughput 1%) against
-// cycle-accurate ground truth, and the measured speedup is reported as
-// a benchmark metric.
-func BenchmarkE16FidelitySweep(b *testing.B) {
-	var speedup float64
-	for i := 0; i < b.N; i++ {
-		r := experiments.E16FidelitySweep(int64(i + 1))
-		if !r.Pass {
-			b.Fatalf("hybrid fidelity out of tolerance: maxP99Err=%.4f maxTputErr=%.4f", r.MaxP99Err, r.MaxTputErr)
-		}
-		speedup = r.Speedup
-	}
-	b.ReportMetric(speedup, "hybrid-speedup-x")
 }

@@ -1,4 +1,4 @@
-// Command nocbench runs the full reproduction suite — experiments E1–E16,
+// Command nocbench runs the full reproduction suite — experiments E1–E15,
 // described in the package docs of internal/experiments and summarized in
 // the top-level README.md — and prints the paper-style tables.
 //
@@ -92,7 +92,6 @@ func suite(seed int64, requests int) []experiment {
 		{"E13", func() []*stats.Table { return experiments.E13CongestionHeatmap(seed).Tables }},
 		{"E14", func() []*stats.Table { return experiments.E14Scenarios(seed).Tables }},
 		{"E15", func() []*stats.Table { return experiments.E15SelfProfile(seed).Tables }},
-		{"E16", func() []*stats.Table { return experiments.E16FidelitySweep(seed).Tables }},
 	}
 }
 

@@ -51,7 +51,6 @@ func main() {
 	system := flag.String("system", "noc", "interconnect: noc (Fig 1) or bus (Fig 2)")
 	topo := flag.String("topology", "crossbar", "NoC topology: crossbar, mesh, torus, ring, tree")
 	mode := flag.String("mode", "wormhole", "NoC switching: wormhole or saf")
-	fidelity := flag.String("fidelity", "cycle", "NoC execution fidelity: cycle (exact), hybrid, or loose (analytic latency model; docs/PERFORMANCE.md)")
 	seed := flag.Int64("seed", 1, "random seed")
 	requests := flag.Int("requests", 40, "write/read-back pairs per master")
 	qos := flag.Bool("qos", true, "enable priority arbitration in switches")
@@ -177,20 +176,6 @@ func main() {
 			cfg.Net.BufDepth = 64
 		default:
 			log.Fatalf("unknown switching mode %q", *mode)
-		}
-	}
-	fid, err := transport.ParseFidelity(*fidelity)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fidelitySet := false
-	flag.Visit(func(f *flag.Flag) { fidelitySet = fidelitySet || f.Name == "fidelity" })
-	if fidelitySet || *scenarioFlag == "" {
-		// An explicit flag overrides the scenario's fidelity (including
-		// back to cycle-accurate, which drops the loose tuning).
-		cfg.Net.Fidelity = fid
-		if fid == transport.FidelityCycle {
-			cfg.Net.LooseThreshold, cfg.Net.LooseHysteresis, cfg.Net.LooseWindow = 0, 0, 0
 		}
 	}
 	cfg.Probe = obs.Multi(probes...)

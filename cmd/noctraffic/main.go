@@ -103,10 +103,6 @@ var (
 	topo       = flag.String("topology", "crossbar", "fabric: crossbar, mesh, torus, ring, or tree")
 	nodes      = flag.Int("nodes", 16, "endpoint count")
 	mode       = flag.String("mode", "wormhole", "switching: wormhole or saf")
-	fidelity   = flag.String("fidelity", "cycle", "execution fidelity: cycle (exact), hybrid (analytic until links heat up), or loose (always analytic) (docs/PERFORMANCE.md)")
-	looseThr   = flag.Float64("loose-threshold", 0, "hybrid/loose: link-utilization fraction above which a region falls back to cycle-accurate (0 = default 0.35)")
-	looseHyst  = flag.Float64("loose-hysteresis", 0, "hybrid/loose: a hot region cools below threshold*hysteresis (0 = default 0.5)")
-	looseWin   = flag.Int64("loose-window", 0, "hybrid/loose: cycles per link-utilization epoch (0 = default 256)")
 	qos        = flag.Bool("qos", false, "priority arbitration in switches")
 	rate       = flag.Float64("rate", 0.05, "offered load, transactions/node/cycle (open loop)")
 	sweep      = flag.Bool("sweep", false, "walk injection rates; emit the latency-vs-offered-load curve")
@@ -204,14 +200,6 @@ func flagScenario() *scenario.Scenario {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fid, err := transport.ParseFidelity(*fidelity)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if fid == transport.FidelityCycle && (*looseThr != 0 || *looseHyst != 0 || *looseWin != 0) {
-		log.Fatal("-loose-threshold/-loose-hysteresis/-loose-window need -fidelity hybrid or loose")
-	}
-	net := transport.NetConfig{Fidelity: fid, LooseThreshold: *looseThr, LooseHysteresis: *looseHyst, LooseWindow: *looseWin}
 	name := scenarioName()
 
 	if *trans {
@@ -220,7 +208,6 @@ func flagScenario() *scenario.Scenario {
 			Bytes: *payload, ReadFrac: zeroAsNeg(*readFrac),
 			Hotspot: *hotspotMem, Wishbone: *wb,
 			Warmup: zeroAsNegI(*warmup), Measure: *measure, Drain: *drain,
-			Net: net,
 		})
 	}
 
@@ -228,7 +215,7 @@ func flagScenario() *scenario.Scenario {
 	if err != nil {
 		log.Fatal(err)
 	}
-	net.QoS = *qos
+	net := transport.NetConfig{QoS: *qos}
 	switch *mode {
 	case "wormhole":
 		net.Mode = transport.Wormhole
@@ -489,23 +476,6 @@ func applyOverrides(sc *scenario.Scenario) error {
 			sc.Fabric.Nodes = *nodes
 		case "mode":
 			sc.Fabric.Mode = *mode
-		case "fidelity":
-			sc.Fabric.Fidelity = *fidelity
-			if fid, e := transport.ParseFidelity(*fidelity); e == nil && fid == transport.FidelityCycle {
-				// Canonical form: cycle is the implicit default, and an
-				// explicit "cycle" would reject the scenario's loose
-				// tuning fields if it carried any.
-				sc.Fabric.Fidelity = ""
-				sc.Fabric.LooseThreshold = 0
-				sc.Fabric.LooseHysteresis = 0
-				sc.Fabric.LooseWindow = 0
-			}
-		case "loose-threshold":
-			sc.Fabric.LooseThreshold = *looseThr
-		case "loose-hysteresis":
-			sc.Fabric.LooseHysteresis = *looseHyst
-		case "loose-window":
-			sc.Fabric.LooseWindow = *looseWin
 		case "qos":
 			sc.Fabric.QoS = *qos
 		case "warmup":

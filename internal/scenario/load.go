@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"reflect"
+	"strconv"
 	"strings"
 )
 
@@ -16,6 +18,7 @@ import (
 // with errors.As instead of re-parsing the message.
 type ParseError struct {
 	Line, Col int
+	Field     string // JSON path of an unknown field, e.g. "fabric.turbo"; "" otherwise
 	Msg       string
 }
 
@@ -106,9 +109,9 @@ func (s *Scenario) SaveFile(path string) error {
 
 // describeJSONError turns encoding/json's errors into positioned
 // *ParseError form. Syntax and type errors carry byte offsets; the
-// unknown-field error (from DisallowUnknownFields) does not, so the
-// decoder's input offset — which sits just past the offending field —
-// is used instead.
+// unknown-field error (from DisallowUnknownFields) carries neither a
+// position nor a path, so the document is walked against the schema to
+// find the offending key.
 func describeJSONError(data []byte, dec *json.Decoder, err error) error {
 	switch e := err.(type) {
 	case *json.SyntaxError:
@@ -128,12 +131,93 @@ func describeJSONError(data []byte, dec *json.Decoder, err error) error {
 		return &ParseError{Line: line, Col: col, Msg: "unexpected end of file (unbalanced braces?)"}
 	}
 	if strings.HasPrefix(err.Error(), "json: unknown field ") {
-		line, col := lineCol(data, dec.InputOffset())
-		return &ParseError{Line: line, Col: col,
-			Msg: fmt.Sprintf("%s (not part of scenario schema version %d; see docs/SCENARIOS.md)",
-				strings.TrimPrefix(err.Error(), "json: "), Version)}
+		field, off := "", dec.InputOffset()
+		if p, o, ok := findUnknownField(json.NewDecoder(bytes.NewReader(data)), reflect.TypeOf(Scenario{}), ""); ok {
+			field, off = p, o
+		}
+		line, col := lineCol(data, off)
+		msg := fmt.Sprintf("%s (not part of scenario schema version %d; see docs/SCENARIOS.md)",
+			strings.TrimPrefix(err.Error(), "json: "), Version)
+		if field != "" {
+			msg = field + ": " + msg
+		}
+		return &ParseError{Line: line, Col: col, Field: field, Msg: msg}
 	}
 	return err
+}
+
+// findUnknownField decodes the next value from dec against type t (nil
+// accepts anything) and returns the JSON path and offset of the first
+// object key t does not define. Keys match struct tags case-
+// insensitively, as encoding/json matches them.
+func findUnknownField(dec *json.Decoder, t reflect.Type, path string) (string, int64, bool) {
+	for t != nil && t.Kind() == reflect.Pointer {
+		t = t.Elem()
+	}
+	tok, err := dec.Token()
+	if err != nil {
+		return "", 0, false
+	}
+	switch tok {
+	case json.Delim('{'):
+		for dec.More() {
+			key, err := dec.Token()
+			if err != nil {
+				return "", 0, false
+			}
+			name, _ := key.(string)
+			sub := name
+			if path != "" {
+				sub = path + "." + name
+			}
+			var elem reflect.Type
+			switch {
+			case t == nil:
+			case t.Kind() == reflect.Map:
+				elem = t.Elem()
+			case t.Kind() == reflect.Struct:
+				f, ok := schemaField(t, name)
+				if !ok {
+					// The decoder sits just past the key; point at its
+					// opening quote.
+					return sub, dec.InputOffset() - int64(len(strconv.Quote(name))), true
+				}
+				elem = f.Type
+			}
+			if p, o, ok := findUnknownField(dec, elem, sub); ok {
+				return p, o, true
+			}
+		}
+		dec.Token() // closing brace
+	case json.Delim('['):
+		var elem reflect.Type
+		if t != nil && (t.Kind() == reflect.Slice || t.Kind() == reflect.Array) {
+			elem = t.Elem()
+		}
+		for i := 0; dec.More(); i++ {
+			if p, o, ok := findUnknownField(dec, elem, fmt.Sprintf("%s[%d]", path, i)); ok {
+				return p, o, true
+			}
+		}
+		dec.Token() // closing bracket
+	}
+	return "", 0, false
+}
+
+// schemaField returns the field of struct t that JSON key name decodes
+// into.
+func schemaField(t reflect.Type, name string) (reflect.StructField, bool) {
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		tag, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		if tag == "" {
+			tag = f.Name
+		}
+		if f.IsExported() && tag != "-" && strings.EqualFold(tag, name) {
+			return f, true
+		}
+	}
+	return reflect.StructField{}, false
 }
 
 // lineCol converts a byte offset into 1-based line and column.

@@ -39,11 +39,6 @@ func (s *Scenario) netConfig() transport.NetConfig {
 	if s.Fabric.Mode == "saf" {
 		n.Mode = transport.StoreAndForward
 	}
-	// Validate guarantees the string parses.
-	n.Fidelity, _ = transport.ParseFidelity(s.Fabric.Fidelity)
-	n.LooseThreshold = s.Fabric.LooseThreshold
-	n.LooseHysteresis = s.Fabric.LooseHysteresis
-	n.LooseWindow = s.Fabric.LooseWindow
 	return n
 }
 
@@ -285,21 +280,7 @@ func fabricOf(cfg traffic.Config) Fabric {
 	if cfg.Net.Mode == transport.StoreAndForward {
 		f.Mode = "saf"
 	}
-	liftFidelity(&f, cfg.Net)
 	return f
-}
-
-// liftFidelity lifts a NetConfig's fidelity knobs into schema form.
-// Cycle-accurate stays the implicit default so lifted scenarios of
-// pre-fidelity runs serialize byte-identically to before.
-func liftFidelity(f *Fabric, n transport.NetConfig) {
-	if n.Fidelity == transport.FidelityCycle {
-		return
-	}
-	f.Fidelity = n.Fidelity.String()
-	f.LooseThreshold = n.LooseThreshold
-	f.LooseHysteresis = n.LooseHysteresis
-	f.LooseWindow = n.LooseWindow
 }
 
 // FromPacketConfig lifts a flag-driven packet run into a scenario:
@@ -377,7 +358,6 @@ func FromTransConfig(name string, tc traffic.TransConfig) *Scenario {
 		})
 	}
 	fab := Fabric{Topology: socTopologyName(tc.Topology), QoS: tc.Net.QoS, FlitBytes: tc.Net.FlitBytes, BufDepth: tc.Net.BufDepth, MaxPendingPkts: tc.Net.MaxPendingPkts, LegacyLock: tc.Net.LegacyLock, Mode: modeName(tc.Net)}
-	liftFidelity(&fab, tc.Net)
 	return &Scenario{
 		Version:  Version,
 		Name:     name,

@@ -52,16 +52,6 @@ type Fabric struct {
 	BufDepth       int    `json:"buf_depth,omitempty"`        // per-lane buffer depth in flits (default 8; auto-raised for SAF/ring/torus)
 	MaxPendingPkts int    `json:"max_pending_pkts,omitempty"` // per-endpoint send queue in packets (default 4)
 	LegacyLock     bool   `json:"legacy_lock,omitempty"`      // enable the global legacy-lock token
-
-	// Fidelity selects the execution mode: "cycle" (default) simulates
-	// every flit; "hybrid" prices packets analytically on cool links and
-	// falls back per-region when utilization crosses the threshold;
-	// "loose" prices everything analytically. See docs/PERFORMANCE.md,
-	// "Fidelity levels".
-	Fidelity        string  `json:"fidelity,omitempty"`         // cycle (default) | hybrid | loose
-	LooseThreshold  float64 `json:"loose_threshold,omitempty"`  // hybrid: per-link utilization that triggers fallback (default 0.35)
-	LooseHysteresis float64 `json:"loose_hysteresis,omitempty"` // hybrid: cool-down ratio of threshold (default 0.5)
-	LooseWindow     int64   `json:"loose_window,omitempty"`     // hybrid: utilization epoch in cycles (default 256)
 }
 
 // Workload kinds.

@@ -95,7 +95,16 @@ func TestLoadErrorsNameTheField(t *testing.T) {
 			"measure.campaign"},
 		{"unknown field with position",
 			strings.Replace(minimalPacket(), `"nodes": 8`, `"nodez": 8`, 1),
-			`unknown field "nodez"`},
+			`4:39: fabric.nodez: unknown field "nodez"`},
+		{"unknown field inside a list",
+			minimalSoC(`{"protocol": "axi", "rate": 0.1, "turbo": true}`),
+			`workload.masters[0].turbo: unknown field "turbo"`},
+		{"retired fidelity field",
+			strings.Replace(minimalPacket(), `"nodes": 8`, `"nodes": 8, "fidelity": "hybrid"`, 1),
+			`fabric.fidelity: unknown field "fidelity"`},
+		{"retired loose tuning field",
+			strings.Replace(minimalPacket(), `"nodes": 8`, `"nodes": 8, "loose_threshold": 0.3`, 1),
+			`fabric.loose_threshold: unknown field "loose_threshold"`},
 		{"type error with position",
 			strings.Replace(minimalPacket(), `"nodes": 8`, `"nodes": "eight"`, 1),
 			"4:"},
@@ -280,10 +289,6 @@ func TestExportReproducesRun(t *testing.T) {
 		})},
 		{name: "single-hotspot", cfg: with(func(c *traffic.Config) {
 			c.Topology, c.Pattern, c.HotNode, c.HotFrac = traffic.Torus, traffic.Hotspot, 3, 0.7
-		})},
-		{name: "single-hybrid", cfg: with(func(c *traffic.Config) {
-			c.Topology = traffic.Mesh
-			c.Net.Fidelity, c.Net.LooseThreshold = transport.FidelityHybrid, 0.3
 		})},
 		{name: "sweep-default-rates", sweep: true, cfg: with(func(c *traffic.Config) {
 			c.Measure = 300

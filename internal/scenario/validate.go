@@ -7,7 +7,6 @@ import (
 	"gonoc/internal/noctypes"
 	"gonoc/internal/soc"
 	"gonoc/internal/traffic"
-	"gonoc/internal/transport"
 )
 
 // Every validation error names the offending field by its JSON path
@@ -129,23 +128,6 @@ func (s *Scenario) validateFabric() error {
 	case "", "wormhole", "saf":
 	default:
 		return errf("fabric.mode", "unknown switching mode %q (want wormhole|saf)", f.Mode)
-	}
-	fid, err := transport.ParseFidelity(f.Fidelity)
-	if err != nil {
-		return errf("fabric.fidelity", "unknown fidelity %q (want cycle|hybrid|loose)", f.Fidelity)
-	}
-	if err := validFrac("fabric.loose_threshold", f.LooseThreshold); err != nil {
-		return err
-	}
-	if err := validFrac("fabric.loose_hysteresis", f.LooseHysteresis); err != nil {
-		return err
-	}
-	if f.LooseWindow < 0 {
-		return errf("fabric.loose_window", "%d is negative", f.LooseWindow)
-	}
-	if fid == transport.FidelityCycle &&
-		(f.LooseThreshold != 0 || f.LooseHysteresis != 0 || f.LooseWindow != 0) {
-		return errf("fabric.loose_threshold", "loose tuning set without fidelity: hybrid|loose (cycle-accurate runs ignore it; delete the fields or set fabric.fidelity)")
 	}
 	for _, c := range []struct {
 		field string

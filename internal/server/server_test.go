@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -338,8 +339,21 @@ func TestSubmitErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown-field status %d", resp.StatusCode)
 	}
-	if e := decode(resp); !strings.Contains(e.Error.Message, "unknown field") || e.Error.Line != 1 {
+	if e := decode(resp); !strings.Contains(e.Error.Message, "unknown field") || e.Error.Line != 1 || e.Error.Field != "turbo" {
 		t.Fatalf("unknown-field error = %+v", e.Error)
+	}
+
+	// Retired fabric knobs (the approximate-timing fields) are unknown
+	// fields like any other: rejected, with their JSON path.
+	for _, field := range []string{"fidelity", "loose_threshold", "loose_hysteresis", "loose_window"} {
+		doc := fmt.Sprintf(`{"version": 1, "name": "x", "fabric": {"topology": "ring", "%s": 1}, "workload": {"kind": "packet"}}`, field)
+		resp = post(t, ts, []byte(doc))
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("fabric.%s status %d, want 400", field, resp.StatusCode)
+		}
+		if e := decode(resp); e.Error.Field != "fabric."+field || e.Error.Line != 1 || e.Error.Column == 0 {
+			t.Fatalf("fabric.%s error = %+v", field, e.Error)
+		}
 	}
 
 	// Semantic error: the offending JSON path named.

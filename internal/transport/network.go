@@ -16,23 +16,6 @@ type NetConfig struct {
 	QoS            bool // priority arbitration in switches
 	MaxPendingPkts int  // per-endpoint send queue depth in packets (default 4)
 	LegacyLock     bool // enable the global legacy-lock token (READEX/LOCK support)
-
-	// Fidelity selects the execution mode (see the Fidelity type).
-	// FidelityCycle — the zero value — is the cycle-accurate fabric,
-	// provably inert with respect to this knob; hybrid and loose route
-	// cold-path packets through the analytic latency model in
-	// fidelity.go.
-	Fidelity Fidelity
-
-	// LooseThreshold is the per-link utilization (flits/cycle over one
-	// LooseWindow epoch) above which hybrid mode falls back to the
-	// cycle-accurate path for routes crossing that link (default 0.35).
-	LooseThreshold float64
-	// LooseHysteresis scales the threshold for cooling: a hot link goes
-	// cold below LooseThreshold*LooseHysteresis (default 0.5).
-	LooseHysteresis float64
-	// LooseWindow is the utilization epoch in cycles (default 256).
-	LooseWindow int64
 }
 
 // WithDefaults returns the configuration with zero fields filled the
@@ -50,17 +33,6 @@ func (c NetConfig) WithDefaults() NetConfig {
 	}
 	if c.MaxPendingPkts == 0 {
 		c.MaxPendingPkts = 4
-	}
-	if c.Fidelity != FidelityCycle {
-		if c.LooseThreshold <= 0 {
-			c.LooseThreshold = DefaultLooseThreshold
-		}
-		if c.LooseHysteresis <= 0 {
-			c.LooseHysteresis = DefaultLooseHysteresis
-		}
-		if c.LooseWindow <= 0 {
-			c.LooseWindow = DefaultLooseWindow
-		}
 	}
 	return c
 }
@@ -135,18 +107,6 @@ type Network struct {
 	// fabric (see SetProbe).
 	probe obs.Probe
 
-	// loose is the analytic fast path; nil on a cycle-accurate fabric,
-	// which keeps the flit path's behaviour (and its zero-alloc
-	// contract) byte-identical to a fabric built before the knob
-	// existed. looseCycleActive counts flit-path packets between
-	// TrySend acceptance and reassembly completion; when the engine is
-	// on and the count is zero, the per-cycle switch/endpoint sweep is
-	// skipped entirely (looseSkippedEval) — the speedup the loose mode
-	// exists for.
-	loose            *looseEngine
-	looseCycleActive int
-	looseSkippedEval bool
-
 	injected, ejected uint64
 }
 
@@ -188,9 +148,6 @@ func (pl *pktPool) recycle(p *Packet) {
 
 func newNetwork(clk *sim.Clock, cfg NetConfig) *Network {
 	n := &Network{clk: clk, cfg: cfg.WithDefaults(), eps: make(map[noctypes.NodeID]*Endpoint)}
-	if n.cfg.Fidelity != FidelityCycle {
-		n.loose = newLooseEngine(n, n.cfg)
-	}
 	clk.Register(netTick{n})
 	return n
 }
@@ -206,18 +163,6 @@ type netTick struct{ n *Network }
 // results — the same discipline that made the per-component design
 // registration-order independent.
 func (t netTick) Eval(cycle int64) {
-	if le := t.n.loose; le != nil {
-		le.tick(cycle)
-		if t.n.looseCycleActive == 0 {
-			// No flit-path packets anywhere in the fabric: every
-			// lane is empty, so the switch/endpoint sweep would be
-			// a no-op. Skipping it is where the loose mode's
-			// speedup comes from.
-			t.n.looseSkippedEval = true
-			return
-		}
-		t.n.looseSkippedEval = false
-	}
 	for _, r := range t.n.routers {
 		r.eval(cycle)
 	}
@@ -386,9 +331,6 @@ func (n *Network) Drained() bool {
 	if n.InFlight() != 0 {
 		return false
 	}
-	if n.loose != nil && !n.loose.idle() {
-		return false
-	}
 	for _, ep := range n.epList {
 		if ep.sendQ.occupancy() > 0 {
 			return false
@@ -413,7 +355,6 @@ func (n *Network) attach(node noctypes.NodeID, r *Router, port int) *Endpoint {
 		ej:     ej,
 		recvQ:  sim.NewUnclockedPipe[*Packet](fmt.Sprintf("recv.%v", node), 64),
 		times:  make(map[uint64]pktTimes),
-		index:  len(n.epList),
 	}
 	ep.sendQ.batch = &n.touched
 	n.eps[node] = ep
@@ -430,7 +371,6 @@ func (n *Network) attach(node noctypes.NodeID, r *Router, port int) *Endpoint {
 type Endpoint struct {
 	net    *Network
 	node   noctypes.NodeID
-	index  int // position in the network's endpoint list (attach order)
 	router *Router
 	port   int
 
@@ -479,14 +419,6 @@ func (ep *Endpoint) CanSend() bool { return ep.pending < ep.net.cfg.MaxPendingPk
 func (ep *Endpoint) TrySend(p *Packet) bool {
 	if !ep.CanSend() {
 		return false
-	}
-	if le := ep.net.loose; le != nil {
-		if le.admits(ep, p) {
-			return le.send(ep, p)
-		}
-		// Hot route (or lock traffic): this packet rides the
-		// cycle-accurate flit path below.
-		ep.net.looseCycleActive++
 	}
 	ep.net.nextPktID++
 	p.ID = ep.net.nextPktID
@@ -624,9 +556,6 @@ func (ep *Endpoint) eval(cycle int64) {
 			panic(fmt.Sprintf("transport: %v: %v", ep.node, err))
 		}
 		if pkt != nil {
-			if ep.net.loose != nil {
-				ep.net.looseCycleActive--
-			}
 			ep.net.ejected++
 			ep.recvQ.Push(pkt)
 			if ep.probe != nil {

@@ -97,9 +97,9 @@ type Router struct {
 	// table maps a destination NodeID to its output port; -1 = no route.
 	table []int32
 
-	// buffered counts flits staged or committed in this switch's input
-	// lanes, held its held outputs. While both are zero the switch has
-	// nothing to move or allocate, and eval returns early.
+	// buffered counts the flits staged or committed in this switch's
+	// input lanes and held the outputs it holds. While both are zero
+	// the switch has nothing to move or allocate, and eval returns early.
 	buffered int
 	held     int
 
