@@ -99,12 +99,6 @@ func TestLoadErrorsNameTheField(t *testing.T) {
 		{"unknown field inside a list",
 			minimalSoC(`{"protocol": "axi", "rate": 0.1, "turbo": true}`),
 			`workload.masters[0].turbo: unknown field "turbo"`},
-		{"retired fidelity field",
-			strings.Replace(minimalPacket(), `"nodes": 8`, `"nodes": 8, "fidelity": "hybrid"`, 1),
-			`fabric.fidelity: unknown field "fidelity"`},
-		{"retired loose tuning field",
-			strings.Replace(minimalPacket(), `"nodes": 8`, `"nodes": 8, "loose_threshold": 0.3`, 1),
-			`fabric.loose_threshold: unknown field "loose_threshold"`},
 		{"type error with position",
 			strings.Replace(minimalPacket(), `"nodes": 8`, `"nodes": "eight"`, 1),
 			"4:"},
@@ -120,6 +114,59 @@ func TestLoadErrorsNameTheField(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error %q does not name the offence (want substring %q)", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestFidelityLoadErrors pins what happens to documents written for the
+// retired approximate-timing modes: fabric.fidelity and fabric.loose_*
+// are no longer fields, so strict decoding rejects each document with
+// the position and JSON path of the first retired key, whatever value
+// it carries. No such document loads with the setting silently dropped.
+func TestFidelityLoadErrors(t *testing.T) {
+	retired := func(fabricExtra string) string {
+		return strings.Replace(minimalPacket(),
+			`"nodes": 8`, `"nodes": 8, `+fabricExtra, 1)
+	}
+	const fidelity = `4:51: fabric.fidelity: unknown field "fidelity"`
+	cases := []struct {
+		name string
+		doc  string
+		want string // substring the error must contain
+	}{
+		{"unknown fidelity value",
+			retired(`"fidelity": "fast"`), fidelity},
+		{"misspelled fidelity field with position",
+			retired(`"fidelty": "hybrid"`),
+			`4:51: fabric.fidelty: unknown field "fidelty"`},
+		{"threshold above one",
+			retired(`"fidelity": "hybrid", "loose_threshold": 1.5`), fidelity},
+		{"negative threshold",
+			retired(`"loose_threshold": -0.2`),
+			`4:51: fabric.loose_threshold: unknown field "loose_threshold"`},
+		{"hysteresis above one",
+			retired(`"loose_hysteresis": 2`),
+			`4:51: fabric.loose_hysteresis: unknown field "loose_hysteresis"`},
+		{"negative window",
+			retired(`"loose_window": -64`),
+			`4:51: fabric.loose_window: unknown field "loose_window"`},
+		{"threshold of wrong type with position",
+			retired(`"fidelity": "hybrid", "loose_threshold": "high"`), fidelity},
+		{"loose tuning without the knob",
+			retired(`"loose_threshold": 0.5`),
+			`4:51: fabric.loose_threshold: unknown field "loose_threshold"`},
+		{"loose tuning on explicit cycle",
+			retired(`"fidelity": "cycle", "loose_window": 128`), fidelity},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := Load(strings.NewReader(tc.doc))
+			if err == nil {
+				t.Fatalf("Load accepted a document with a retired field:\n%s", tc.doc)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %q does not name the retired field (want substring %q)", err, tc.want)
 			}
 		})
 	}
