@@ -159,7 +159,7 @@ func BenchmarkE10TrafficSweep(b *testing.B) {
 func BenchmarkTrafficUniformMesh(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res := traffic.Run(traffic.Config{
-			Seed: int64(i + 1), Nodes: 16, Topology: traffic.Mesh,
+			Seed: int64(i + 1), Nodes: 16, Topology: transport.Mesh,
 			Pattern: traffic.UniformRandom, Rate: 0.05,
 			Warmup: 300, Measure: 1500, Drain: 8000,
 		})
@@ -224,7 +224,7 @@ func BenchmarkTrafficCampaignParallel(b *testing.B) {
 				Seed: int64(i + 1), Nodes: 16, PayloadBytes: 32,
 				Warmup: 300, Measure: 1500, Drain: 10000,
 			},
-			Topologies: []traffic.Topology{traffic.Crossbar, traffic.Mesh, traffic.Torus, traffic.Ring, traffic.Tree},
+			Topologies: []transport.Topology{transport.Crossbar, transport.Mesh, transport.Torus, transport.Ring, transport.Tree},
 			Patterns:   []traffic.Pattern{traffic.UniformRandom, traffic.Hotspot},
 			Rates:      []float64{0.02, 0.06, 0.12, 0.20},
 		})

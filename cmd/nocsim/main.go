@@ -25,10 +25,11 @@
 // docs/OBSERVABILITY.md). Enabling them never changes seeded results.
 //
 // -scenario NAME|FILE (NoC only) builds the system from a declarative
-// soc-kind scenario (internal/scenario, docs/SCENARIOS.md) instead of
-// flags: topology, switching mode, QoS, WISHBONE inclusion, per-master
-// NIU priorities, and the generator workload size all come from the
-// file; explicitly set flags still override their scenario fields.
+// soc-kind scenario (internal/scenario, docs/SCENARIOS.md): topology,
+// switching mode, QoS, WISHBONE inclusion, per-master NIU priorities,
+// and the generator workload size all come from the file, and
+// explicitly set flags override their scenario fields. A flag-only run
+// is the same path from a default scenario with every flag applied.
 package main
 
 import (
@@ -44,7 +45,6 @@ import (
 	"gonoc/internal/scenario"
 	"gonoc/internal/soc"
 	"gonoc/internal/stats"
-	"gonoc/internal/transport"
 )
 
 func main() {
@@ -63,6 +63,10 @@ func main() {
 	metricsEvery := flag.Duration("metrics-interval", 250*time.Millisecond, "snapshot cadence for -metrics-out")
 	flag.Parse()
 
+	if *seed == 0 {
+		// A scenario's seed 0 means "omitted" and selects the default.
+		log.Fatal("-seed 0 is not a seed a scenario can carry (0 selects the default seed 1); use a positive seed")
+	}
 	if *wb && *system != "noc" {
 		log.Fatal("-wb requires -system noc (the Fig-2 bus has no WISHBONE bridge)")
 	}
@@ -116,68 +120,44 @@ func main() {
 			fmt.Fprintf(os.Stderr, "serving live metrics on http://%s/metrics (progress: http://%s/progress)\n", addr, addr)
 		}
 	}
-	var cfg soc.Config
+	sc := defaultScenario()
 	if *scenarioFlag != "" {
-		sc := loadScenario(*scenarioFlag)
-		// Explicitly set flags override their scenario fields.
-		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "topology":
-				sc.Fabric.Topology = *topo
-			case "mode":
-				sc.Fabric.Mode = *mode
-			case "qos":
-				sc.Fabric.QoS = *qos
-			case "seed":
-				sc.Seed = *seed
-			case "requests":
-				sc.Workload.RequestsPerMaster = *requests
-			case "wb":
-				sc.Workload.Wishbone = *wb
-			}
-		})
-		if err := sc.Validate(); err != nil {
-			log.Fatal(err)
-		}
-		var err error
-		if cfg, err = sc.SoCConfig(); err != nil {
-			log.Fatal(err)
-		}
-		// Mirror the resolved composition back into the display flags.
-		*topo = sc.Fabric.Topology
-		*mode = "wormhole"
-		if sc.Fabric.Mode == "saf" {
-			*mode = "saf"
-		}
-		*seed = cfg.Seed
-		*wb = cfg.Wishbone
-	} else {
-		cfg = soc.Config{Seed: *seed, RequestsPerMaster: *requests, Wishbone: *wb}
-		cfg.Net.QoS = *qos
-		switch *topo {
-		case "crossbar":
-			cfg.Topology = soc.Crossbar
-		case "mesh":
-			cfg.Topology = soc.Mesh
-		case "torus":
-			cfg.Topology = soc.Torus
-		case "ring":
-			cfg.Topology = soc.Ring
-		case "tree":
-			cfg.Topology = soc.Tree
-		default:
-			log.Fatalf("unknown topology %q", *topo)
-		}
-		switch *mode {
-		case "wormhole":
-			cfg.Net.Mode = transport.Wormhole
-		case "saf":
-			cfg.Net.Mode = transport.StoreAndForward
-			cfg.Net.BufDepth = 64
-		default:
-			log.Fatalf("unknown switching mode %q", *mode)
-		}
+		sc = loadScenario(*scenarioFlag)
 	}
+	// One flag→field mapping: a flag-only run applies every flag to the
+	// default scenario, -scenario only the explicitly set ones.
+	visit := flag.Visit
+	if *scenarioFlag == "" {
+		visit = flag.VisitAll
+	}
+	visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "topology":
+			sc.Fabric.Topology = *topo
+		case "mode":
+			sc.Fabric.Mode = *mode
+		case "qos":
+			sc.Fabric.QoS = *qos
+		case "seed":
+			sc.Seed = *seed
+		case "requests":
+			sc.Workload.RequestsPerMaster = *requests
+		case "wb":
+			sc.Workload.Wishbone = *wb
+		}
+	})
+	if err := sc.Validate(); err != nil {
+		log.Fatal(err)
+	}
+	cfg, err := sc.SoCConfig()
+	if err != nil {
+		log.Fatal(err)
+	}
+	switching := "wormhole"
+	if sc.Fabric.Mode == "saf" {
+		switching = "saf"
+	}
+	label := fmt.Sprintf("nocsim/%s/%s", sc.Fabric.Topology, switching)
 	cfg.Probe = obs.Multi(probes...)
 
 	var s *soc.System
@@ -200,14 +180,13 @@ func main() {
 		log.Fatal(err)
 	}
 	prof.SetPhase(metrics.PhaseDone)
-	prog.PointDone(fmt.Sprintf("nocsim/%s/%s", *topo, *mode),
-		float64(time.Since(start).Microseconds())/1e3)
+	prog.PointDone(label, float64(time.Since(start).Microseconds())/1e3)
 
 	fmt.Printf("system=%s topology=%s mode=%s seed=%d: %d masters finished in %d cycles\n\n",
-		*system, *topo, *mode, *seed, len(s.Gens), cycles)
+		*system, sc.Fabric.Topology, switching, cfg.Seed, len(s.Gens), cycles)
 
 	masters := []string{"axi", "ocp", "ahb", "pvci", "bvci", "avci", "prop"}
-	if *wb {
+	if cfg.Wishbone {
 		masters = append(masters, "wb")
 	}
 	t := stats.NewTable("per-master results",
@@ -238,7 +217,7 @@ func main() {
 		fmt.Printf("trace: %d span events -> %s\n", rec.Len(), *traceFile)
 	}
 	if mon != nil {
-		rep := mon.Report(fmt.Sprintf("nocsim/%s/%s", *topo, *mode))
+		rep := mon.Report(label)
 		writeFile(*heatFile, rep.WriteJSON)
 		fmt.Printf("heatmap: %d links, %d flits -> %s\n", len(rep.Links), rep.TotalFlits, *heatFile)
 	}
@@ -255,6 +234,18 @@ func main() {
 		}
 	}
 	os.Exit(0)
+}
+
+// defaultScenario is the soc scenario a flag-only run starts from. The
+// generator workload reads only the roles' priorities, so each role just
+// names its socket (at rate 1, the generators' own issue rate).
+func defaultScenario() *scenario.Scenario {
+	sc := &scenario.Scenario{Version: scenario.Version, Name: "nocsim",
+		Workload: scenario.Workload{Kind: scenario.KindSoC}}
+	for _, p := range []string{"axi", "ocp", "ahb", "pvci", "bvci", "avci", "prop"} {
+		sc.Workload.Masters = append(sc.Workload.Masters, scenario.MasterRole{Protocol: p, Rate: 1})
+	}
+	return sc
 }
 
 // loadScenario resolves a built-in name or a file path and requires a

@@ -7,6 +7,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -90,5 +91,23 @@ func TestCLIGolden(t *testing.T) {
 				t.Fatalf("%s diverged from the golden; if the change is intended, rerun with -update and review the diff\n--- got ---\n%s", path, out)
 			}
 		})
+	}
+}
+
+// TestSeedZeroFails: seed 0 is the scenario schema's "omitted", so
+// -seed 0 cannot name a run — flag-only or under -scenario, it exits 1
+// instead of running some other seed.
+func TestSeedZeroFails(t *testing.T) {
+	for _, args := range [][]string{
+		{"-seed", "0"},
+		{"-scenario", "cpu-dma-display", "-seed", "0"},
+	} {
+		out, stderr, code := runCLI(t, append(args, "-requests", "2")...)
+		if code != 1 || len(out) != 0 {
+			t.Fatalf("%v: exit %d with %d bytes of output, want exit 1 and none", args, code, len(out))
+		}
+		if !strings.Contains(string(stderr), "-seed 0 is not a seed a scenario can carry") {
+			t.Fatalf("%v: stderr %q", args, stderr)
+		}
 	}
 }

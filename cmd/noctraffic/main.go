@@ -17,20 +17,21 @@
 //   - transaction level (-trans): drive the full mixed-protocol SoC
 //     through its existing NIUs at a controlled per-master rate.
 //
-// Scenarios (internal/scenario, reference in docs/SCENARIOS.md):
-// -scenario runs a declarative composition instead of flags — a
-// built-in name (-list-scenarios) or a *.scenario.json file; the
-// scenario selects the mode, and any explicitly set flag overrides the
-// corresponding scenario field. -save-scenario exports the current
-// invocation (flags or scenario+overrides) as a scenario file that
-// reproduces the identical seeded result when re-run.
+// Scenarios (internal/scenario, reference in docs/SCENARIOS.md): a
+// scenario is the only description of a run. -scenario starts from a
+// declarative composition — a built-in name (-list-scenarios) or a
+// *.scenario.json file — and applies the explicitly set flags to its
+// fields; a flag-only invocation starts from a default scenario and
+// applies every flag, through the same flag→field mapping. A flag that
+// does not apply to the resolved scenario (a packet-only flag on a soc
+// workload, a campaign axis without a campaign) is an error when set
+// explicitly. -save-scenario exports the resolved scenario as a file
+// that reproduces the identical seeded result when re-run.
 //
-// One execution path: every invocation runs through scenario.Execute.
-// A flag-only invocation is lifted into the scenario it describes (the
-// lift -save-scenario exports), and the observability and metrics
-// flags become its scenario.Instruments — so `noctraffic -scenario FILE
-// -wall=false -json` prints exactly the bytes nocserver stores for
-// FILE.
+// One execution path: every invocation runs through scenario.Execute,
+// and the observability and metrics flags become its
+// scenario.Instruments — so `noctraffic -scenario FILE -wall=false
+// -json` prints exactly the bytes nocserver stores for FILE.
 //
 // Observability (internal/obs, reference in docs/OBSERVABILITY.md):
 // -trace writes a Chrome trace_event file of the run's
@@ -84,6 +85,7 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -92,10 +94,8 @@ import (
 	"gonoc/internal/obs/metrics"
 	"gonoc/internal/obs/prof"
 	"gonoc/internal/scenario"
-	"gonoc/internal/soc"
 	"gonoc/internal/stats"
 	"gonoc/internal/traffic"
-	"gonoc/internal/transport"
 )
 
 var (
@@ -109,7 +109,7 @@ var (
 	ratesFlag  = flag.String("rates", "", "comma-separated sweep rates (default: built-in schedule)")
 	closed     = flag.Bool("closed", false, "closed-loop injection (fixed outstanding window)")
 	window     = flag.Int("window", 4, "closed loop: outstanding transactions per source")
-	payload    = flag.Int("payload", 32, "data bytes per transaction")
+	payload    = flag.Int("payload", 32, "data bytes per transaction (per master with -trans)")
 	readFrac   = flag.Float64("readfrac", 0.5, "fraction of transactions that are reads")
 	hotFrac    = flag.Float64("hotfrac", 0.5, "hotspot: fraction of traffic to the hot node")
 	hotNode    = flag.Int("hotnode", 0, "hotspot: destination node index")
@@ -170,14 +170,12 @@ func main() {
 	mx := newMetricsRun()
 	defer mx.close()
 
-	var sc *scenario.Scenario
+	sc := defaultScenario()
 	if *scenarioFlag != "" {
 		sc = mustLoadScenario(*scenarioFlag)
-		if err := applyOverrides(sc); err != nil {
-			log.Fatal(err)
-		}
-	} else {
-		sc = flagScenario()
+	}
+	if err := applyOverrides(sc, *scenarioFlag == ""); err != nil {
+		log.Fatal(err)
 	}
 	if err := sc.Validate(); err != nil {
 		log.Fatal(err)
@@ -188,67 +186,20 @@ func main() {
 	run(sc, mx)
 }
 
-// flagScenario lifts a flag-only invocation into the scenario it
-// describes — the lift -save-scenario exports — so flag runs and
-// scenario runs take the one execution path, scenario.Execute.
-func flagScenario() *scenario.Scenario {
-	if *seed == 0 {
-		// A scenario's seed 0 means "omitted" and selects the default.
-		log.Fatal("-seed 0 is not a seed a scenario can carry (0 selects the default seed 1); use a positive seed")
-	}
-	top, err := traffic.ParseTopology(*topo)
-	if err != nil {
-		log.Fatal(err)
-	}
-	name := scenarioName()
-
+// defaultScenario is the scenario a flag-only run starts from before
+// every flag is applied to it: a packet workload, or with -trans one
+// role per historical SoC master (the flags fill in their rate, window,
+// size and read mix).
+func defaultScenario() *scenario.Scenario {
+	sc := &scenario.Scenario{Version: scenario.Version, Name: scenarioName(),
+		Workload: scenario.Workload{Kind: scenario.KindPacket}}
 	if *trans {
-		return scenario.FromTransConfig(name, traffic.TransConfig{
-			Seed: *seed, Topology: socTopology(top), Rate: *rate, Window: *window,
-			Bytes: *payload, ReadFrac: zeroAsNeg(*readFrac),
-			Hotspot: *hotspotMem, Wishbone: *wb,
-			Warmup: zeroAsNegI(*warmup), Measure: *measure, Drain: *drain,
-		})
-	}
-
-	pat, err := traffic.ParsePattern(*pattern)
-	if err != nil {
-		log.Fatal(err)
-	}
-	net := transport.NetConfig{QoS: *qos}
-	switch *mode {
-	case "wormhole":
-		net.Mode = transport.Wormhole
-	case "saf":
-		net.Mode = transport.StoreAndForward
-	default:
-		log.Fatalf("unknown switching mode %q", *mode)
-	}
-	cfg := traffic.Config{
-		Seed: *seed, Nodes: *nodes, Topology: top,
-		Pattern: pat, Rate: *rate, PayloadBytes: *payload,
-		ReadFrac: zeroAsNeg(*readFrac), HotFrac: *hotFrac, HotNode: *hotNode,
-		BurstLen: *burstLen, UrgentFrac: *urgentFrac,
-		ClosedLoop: *closed, Window: *window,
-		Warmup: zeroAsNegI(*warmup), Measure: *measure, Drain: *drain,
-		Net: net,
-	}
-	switch {
-	case *campaign:
-		return scenario.FromPacketConfig(name, cfg, nil, &traffic.CampaignConfig{
-			Topologies: parseTopologies(*topoList),
-			Patterns:   parsePatterns(*patList),
-			Rates:      parseRates(*ratesFlag),
-			Workers:    *workers,
-		})
-	case *sweep:
-		rates := parseRates(*ratesFlag)
-		if len(rates) == 0 {
-			rates = traffic.DefaultRates()
+		sc.Workload.Kind = scenario.KindSoC
+		for _, p := range []string{"axi", "ocp", "ahb", "pvci", "bvci", "avci", "prop"} {
+			sc.Workload.Masters = append(sc.Workload.Masters, scenario.MasterRole{Protocol: p})
 		}
-		return scenario.FromPacketConfig(name, cfg, rates, nil)
 	}
-	return scenario.FromPacketConfig(name, cfg, nil, nil)
+	return sc
 }
 
 // run executes the scenario once through scenario.Execute, with the
@@ -417,65 +368,98 @@ func mustLoadScenario(arg string) *scenario.Scenario {
 	return sc
 }
 
-// applyOverrides writes every explicitly set flag onto the scenario.
-// Flags that pick a workload the scenario doesn't have are errors, not
-// silent reinterpretations.
-func applyOverrides(sc *scenario.Scenario) error {
+// applyOverrides is the one flag→field mapping: it writes every flag
+// onto the scenario when all is set (a flag-only run), and only the
+// explicitly set flags otherwise (-scenario). A flag that does not
+// apply to the scenario is an error when it was set explicitly and is
+// skipped when it was not — flags pick fields, they never silently
+// reinterpret a workload.
+func applyOverrides(sc *scenario.Scenario, all bool) error {
 	var err error
 	fail := func(format string, args ...any) {
 		if err == nil {
 			err = fmt.Errorf(format, args...)
 		}
 	}
-	packet := func(name string) bool {
-		if sc.Workload.Kind != scenario.KindPacket {
-			fail("-%s applies to packet scenarios; %q is a %q workload", name, sc.Name, sc.Workload.Kind)
-			return false
+	// applies reports ok, failing with "-name why" when the flag was
+	// set explicitly but does not apply.
+	applies := func(name string, ok bool, why string, args ...any) bool {
+		if !ok && setFlags[name] {
+			fail("-"+name+" "+why, args...)
 		}
-		return true
+		return ok
+	}
+	packet := func(name string) bool {
+		return applies(name, sc.Workload.Kind == scenario.KindPacket,
+			"applies to packet scenarios; %q is a %q workload", sc.Name, sc.Workload.Kind)
 	}
 	socKind := func(name string) bool {
+		return applies(name, sc.Workload.Kind == scenario.KindSoC,
+			"applies to soc scenarios; %q is a %q workload", sc.Name, sc.Workload.Kind)
+	}
+	campaignAxis := func(name string) bool {
+		return packet(name) && applies(name, sc.Measure.Campaign != nil,
+			"needs a campaign scenario (add -campaign to convert)")
+	}
+	// perRole sets a knob on a packet workload, or on every master role
+	// of a soc workload.
+	perRole := func(packetField func(), role func(*scenario.MasterRole)) {
 		if sc.Workload.Kind != scenario.KindSoC {
-			fail("-%s applies to soc scenarios; %q is a %q workload", name, sc.Name, sc.Workload.Kind)
-			return false
+			packetField()
+			return
 		}
-		return true
-	}
-	ensureCampaign := func(name string) *scenario.Campaign {
-		if sc.Measure.Campaign == nil {
-			fail("-%s needs a campaign scenario (add -campaign to convert)", name)
-			return &scenario.Campaign{}
+		for i := range sc.Workload.Masters {
+			role(&sc.Workload.Masters[i])
 		}
-		return sc.Measure.Campaign
 	}
-	// Mode-converting flags are applied before the Visit loop: they
-	// decide whether "rates" and the campaign axes land in the campaign
-	// section or the sweep list, and flag.Visit's lexical order must
-	// not (e.g. "rates" < "sweep" would route -rates into a campaign
-	// the -sweep flag is about to delete).
-	if setFlags["sweep"] && setFlags["campaign"] && *sweep && *campaign {
+
+	// Flags that reshape the scenario go first: they decide where the
+	// flags below land (-rates into a sweep or a campaign, -rate onto
+	// the WISHBONE role or not), and flag.Visit's lexical order must
+	// not. A true bool flag was set explicitly (they default to false).
+	if *sweep && *campaign {
 		return fmt.Errorf("-sweep and -campaign are mutually exclusive")
 	}
-	if setFlags["campaign"] && *campaign && packet("campaign") && sc.Measure.Campaign == nil {
+	if *campaign && packet("campaign") && sc.Measure.Campaign == nil {
 		sc.Measure.SweepRates = nil
 		sc.Measure.Campaign = &scenario.Campaign{}
 	}
-	if setFlags["sweep"] && *sweep && packet("sweep") {
+	if *sweep && packet("sweep") {
 		sc.Measure.Campaign = nil
+		if len(sc.Measure.SweepRates) == 0 {
+			sc.Measure.SweepRates = traffic.DefaultRates()
+		}
+	}
+	if (all || setFlags["wb"]) && socKind("wb") {
+		setWishbone(&sc.Workload, *wb)
 	}
 	if err != nil {
 		return err
 	}
-	flag.Visit(func(f *flag.Flag) {
+
+	visit := flag.Visit
+	if all {
+		visit = flag.VisitAll
+	}
+	visit(func(f *flag.Flag) {
 		switch f.Name {
 		case "seed":
+			if *seed == 0 {
+				// A scenario's seed 0 means "omitted" and selects the default.
+				fail("-seed 0 is not a seed a scenario can carry (0 selects the default seed 1); use a positive seed")
+			}
 			sc.Seed = *seed
 		case "topology":
 			sc.Fabric.Topology = *topo
 		case "nodes":
-			sc.Fabric.Nodes = *nodes
+			if packet(f.Name) {
+				sc.Fabric.Nodes = *nodes
+			}
 		case "mode":
 			sc.Fabric.Mode = *mode
+			if *mode == "wormhole" {
+				sc.Fabric.Mode = "" // the schema default, stored omitted
+			}
 		case "qos":
 			sc.Fabric.QoS = *qos
 		case "warmup":
@@ -487,38 +471,21 @@ func applyOverrides(sc *scenario.Scenario) error {
 			sc.Measure.Drain = *drain
 		case "heatmap-bucket":
 			sc.Measure.HeatmapBucket = *heatBucket
+			if *heatBucket == obs.DefaultHeatmapBucket {
+				sc.Measure.HeatmapBucket = 0 // the schema default, stored omitted
+			}
+		case "rate":
+			perRole(func() { sc.Workload.Rate = *rate }, func(m *scenario.MasterRole) { m.Rate = *rate })
+		case "readfrac":
+			rf := *readFrac
+			perRole(func() { sc.Workload.ReadFrac = &rf }, func(m *scenario.MasterRole) { m.ReadFrac = &rf })
+		case "window":
+			perRole(func() { sc.Workload.Window = *window }, func(m *scenario.MasterRole) { m.Window = *window })
+		case "payload":
+			perRole(func() { sc.Workload.PayloadBytes = *payload }, func(m *scenario.MasterRole) { m.Bytes = *payload })
 		case "pattern":
 			if packet(f.Name) {
 				sc.Workload.Pattern = *pattern
-			}
-		case "rate":
-			if sc.Workload.Kind == scenario.KindSoC {
-				for i := range sc.Workload.Masters {
-					sc.Workload.Masters[i].Rate = *rate
-				}
-			} else {
-				sc.Workload.Rate = *rate
-			}
-		case "readfrac":
-			rf := *readFrac
-			if sc.Workload.Kind == scenario.KindSoC {
-				for i := range sc.Workload.Masters {
-					sc.Workload.Masters[i].ReadFrac = &rf
-				}
-			} else {
-				sc.Workload.ReadFrac = &rf
-			}
-		case "window":
-			if sc.Workload.Kind == scenario.KindSoC {
-				for i := range sc.Workload.Masters {
-					sc.Workload.Masters[i].Window = *window
-				}
-			} else {
-				sc.Workload.Window = *window
-			}
-		case "payload":
-			if packet(f.Name) {
-				sc.Workload.PayloadBytes = *payload
 			}
 		case "hotfrac":
 			if packet(f.Name) {
@@ -540,47 +507,56 @@ func applyOverrides(sc *scenario.Scenario) error {
 			if packet(f.Name) {
 				sc.Workload.ClosedLoop = *closed
 			}
-		case "wb":
-			if socKind(f.Name) {
-				sc.Workload.Wishbone = *wb
-			}
 		case "hotspot-mem":
 			if socKind(f.Name) {
 				sc.Workload.Hotspot = *hotspotMem
 			}
 		case "trans":
-			if *trans && sc.Workload.Kind != scenario.KindSoC {
-				fail("-trans needs a soc scenario; %q is a %q workload", sc.Name, sc.Workload.Kind)
-			}
-		case "campaign", "sweep":
-			// Handled before the loop; see above.
+			applies(f.Name, !*trans || sc.Workload.Kind == scenario.KindSoC,
+				"needs a soc scenario; %q is a %q workload", sc.Name, sc.Workload.Kind)
 		case "patterns":
-			if packet(f.Name) {
-				ensureCampaign(f.Name).Patterns = strings.Split(*patList, ",")
+			if campaignAxis(f.Name) {
+				sc.Measure.Campaign.Patterns = strings.Split(*patList, ",")
 			}
 		case "topologies":
-			if packet(f.Name) {
-				ensureCampaign(f.Name).Topologies = strings.Split(*topoList, ",")
+			if campaignAxis(f.Name) {
+				sc.Measure.Campaign.Topologies = strings.Split(*topoList, ",")
 			}
 		case "workers":
-			if packet(f.Name) {
-				ensureCampaign(f.Name).Workers = *workers
+			if campaignAxis(f.Name) {
+				sc.Measure.Campaign.Workers = *workers
 			}
 		case "rates":
-			if packet(f.Name) {
-				rates := parseRates(*ratesFlag)
-				if sc.Measure.Campaign != nil {
-					sc.Measure.Campaign.Rates = rates
-				} else {
-					sc.Measure.SweepRates = rates
+			m := &sc.Measure
+			if packet(f.Name) && applies(f.Name, m.Campaign != nil || len(m.SweepRates) > 0,
+				"needs a sweep or campaign scenario (add -sweep or -campaign to convert)") {
+				switch rates := parseRates(*ratesFlag); {
+				case rates == nil: // an empty -rates keeps the schedule
+				case m.Campaign != nil:
+					m.Campaign.Rates = rates
+				default:
+					m.SweepRates = rates
 				}
 			}
 		}
 	})
-	if err == nil && setFlags["sweep"] && *sweep && len(sc.Measure.SweepRates) == 0 {
-		sc.Measure.SweepRates = traffic.DefaultRates()
-	}
 	return err
+}
+
+// setWishbone adds or drops the WISHBONE socket. An added socket is
+// driven like the first declared master (minus its priority and
+// target), so the per-master flags reach it too.
+func setWishbone(w *scenario.Workload, on bool) {
+	w.Wishbone = on
+	i := slices.IndexFunc(w.Masters, func(m scenario.MasterRole) bool { return m.Protocol == "wb" })
+	switch {
+	case on && i < 0:
+		role := w.Masters[0]
+		role.Protocol, role.Priority, role.Target = "wb", "", nil
+		w.Masters = append(w.Masters, role)
+	case !on && i >= 0:
+		w.Masters = slices.Delete(w.Masters, i, i+1)
+	}
 }
 
 // scenarioName derives the exported scenario's name from the output
@@ -679,63 +655,6 @@ func writeFile(path string, write func(io.Writer) error) {
 	if err := f.Close(); err != nil {
 		log.Fatal(err)
 	}
-}
-
-// zeroAsNeg maps an explicit 0 flag value onto the library's negative
-// "literal zero" sentinel (the Config types treat a zero field as
-// unset), so -readfrac 0 and -warmup 0 mean what the user typed.
-func zeroAsNeg(v float64) float64 {
-	if v == 0 {
-		return -1
-	}
-	return v
-}
-
-func zeroAsNegI(v int64) int64 {
-	if v == 0 {
-		return -1
-	}
-	return v
-}
-
-// socTopology maps a packet-level topology onto the SoC builder's enum
-// for -trans runs.
-func socTopology(t traffic.Topology) soc.Topology {
-	switch t {
-	case traffic.Mesh:
-		return soc.Mesh
-	case traffic.Torus:
-		return soc.Torus
-	case traffic.Ring:
-		return soc.Ring
-	case traffic.Tree:
-		return soc.Tree
-	}
-	return soc.Crossbar
-}
-
-func parseTopologies(s string) []traffic.Topology {
-	var out []traffic.Topology
-	for _, f := range strings.Split(s, ",") {
-		t, err := traffic.ParseTopology(f)
-		if err != nil {
-			log.Fatal(err)
-		}
-		out = append(out, t)
-	}
-	return out
-}
-
-func parsePatterns(s string) []traffic.Pattern {
-	var out []traffic.Pattern
-	for _, f := range strings.Split(s, ",") {
-		p, err := traffic.ParsePattern(f)
-		if err != nil {
-			log.Fatal(err)
-		}
-		out = append(out, p)
-	}
-	return out
 }
 
 func parseRates(s string) []float64 {

@@ -7,6 +7,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -122,5 +123,107 @@ func TestCLIGolden(t *testing.T) {
 				t.Fatalf("-scenario %s printed different bytes than the invocation that saved it", saved)
 			}
 		})
+	}
+}
+
+// TestInapplicableFlagsFail: a flag that does not apply to the resolved
+// scenario exits 1 with the override error naming it, whether the
+// scenario came from flags alone or from -scenario. Packet-only flags
+// meet soc workloads, campaign axes meet non-campaign runs, soc-only
+// flags meet packet workloads.
+func TestInapplicableFlagsFail(t *testing.T) {
+	const (
+		onSoC      = "soc"    // flag-only: -trans; scenario: cpu-dma-display
+		onPacket   = "packet" // flag-only: a single run; scenario: ring-dateline-torture
+		packetOnly = "applies to packet scenarios"
+		socOnly    = "applies to soc scenarios"
+		needsCamp  = "needs a campaign scenario"
+	)
+	cases := []struct {
+		on   string
+		args []string
+		want string
+	}{
+		{onSoC, []string{"-pattern", "hotspot"}, "-pattern " + packetOnly},
+		{onSoC, []string{"-nodes", "64"}, "-nodes " + packetOnly},
+		{onSoC, []string{"-hotfrac", "0.7"}, "-hotfrac " + packetOnly},
+		{onSoC, []string{"-hotnode", "3"}, "-hotnode " + packetOnly},
+		{onSoC, []string{"-burstlen", "4"}, "-burstlen " + packetOnly},
+		{onSoC, []string{"-urgentfrac", "0.1"}, "-urgentfrac " + packetOnly},
+		{onSoC, []string{"-closed"}, "-closed " + packetOnly},
+		{onSoC, []string{"-sweep"}, "-sweep " + packetOnly},
+		{onSoC, []string{"-campaign"}, "-campaign " + packetOnly},
+		{onSoC, []string{"-rates", "0.1"}, "-rates " + packetOnly},
+		{onSoC, []string{"-topologies", "ring"}, "-topologies " + packetOnly},
+		{onSoC, []string{"-patterns", "uniform"}, "-patterns " + packetOnly},
+		{onSoC, []string{"-workers", "2"}, "-workers " + packetOnly},
+		{onPacket, []string{"-topologies", "ring,mesh"}, "-topologies " + needsCamp},
+		{onPacket, []string{"-patterns", "uniform"}, "-patterns " + needsCamp},
+		{onPacket, []string{"-workers", "2"}, "-workers " + needsCamp},
+		{onPacket, []string{"-rates", "0.02,0.1"}, "-rates needs a sweep or campaign scenario"},
+		{onPacket, []string{"-wb"}, "-wb " + socOnly},
+		{onPacket, []string{"-hotspot-mem"}, "-hotspot-mem " + socOnly},
+		{onPacket, []string{"-sweep", "-campaign"}, "-sweep and -campaign are mutually exclusive"},
+		{onPacket, []string{"-seed", "0"}, "-seed 0 is not a seed a scenario can carry"},
+		{onSoC, []string{"-seed", "0"}, "-seed 0 is not a seed a scenario can carry"},
+	}
+	for _, c := range cases {
+		for _, viaScenario := range []bool{false, true} {
+			var base []string
+			switch {
+			case c.on == onSoC && viaScenario:
+				base = []string{"-scenario", "cpu-dma-display"}
+			case c.on == onSoC:
+				base = []string{"-trans"}
+			case viaScenario:
+				base = []string{"-scenario", "ring-dateline-torture"}
+			}
+			args := append(append(base, c.args...), "-measure", "100", "-json")
+			t.Run(strings.Join(args, " "), func(t *testing.T) {
+				out, stderr, code := runCLI(t, t.TempDir(), args...)
+				if code != 1 || len(out) != 0 {
+					t.Fatalf("exit %d with %d bytes of output, want exit 1 and none; stderr: %s", code, len(out), stderr)
+				}
+				if !strings.Contains(string(stderr), c.want) {
+					t.Fatalf("stderr %q does not name the flag (want %q)", stderr, c.want)
+				}
+			})
+		}
+	}
+	// -trans on a packet scenario has no flag-only form: -trans picks
+	// the soc workload.
+	_, stderr, code := runCLI(t, t.TempDir(), "-scenario", "ring-dateline-torture", "-trans")
+	if code != 1 || !strings.Contains(string(stderr), "-trans needs a soc scenario") {
+		t.Fatalf("-trans on a packet scenario: exit %d, stderr %q", code, stderr)
+	}
+}
+
+// TestTransFlagsReachTheFabric: on a -trans run, -mode and -qos are
+// fabric fields like on any other run — they reach the saved scenario,
+// and store-and-forward switching changes the result.
+func TestTransFlagsReachTheFabric(t *testing.T) {
+	dir := t.TempDir()
+	run := func(save string, extra ...string) []byte {
+		args := append([]string{"-trans", "-measure", "600", "-wall=false", "-json", "-save-scenario", save}, extra...)
+		out, stderr, code := runCLI(t, dir, args...)
+		if code != 0 {
+			t.Fatalf("%v: exit %d: %s", args, code, stderr)
+		}
+		return out
+	}
+	plain := run("plain.json")
+	saf := run("saf.json", "-mode", "saf")
+	run("qos.json", "-qos")
+	if bytes.Equal(plain, saf) {
+		t.Fatal("-trans -mode saf printed the same bytes as -trans")
+	}
+	for file, want := range map[string]string{"saf.json": `"mode": "saf"`, "qos.json": `"qos": true`} {
+		doc, err := os.ReadFile(filepath.Join(dir, file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(string(doc), want) {
+			t.Fatalf("%s lacks %s:\n%s", file, want, doc)
+		}
 	}
 }

@@ -11,13 +11,14 @@ import (
 
 	"gonoc/internal/soc"
 	"gonoc/internal/stats"
+	"gonoc/internal/transport"
 )
 
 func main() {
 	s := soc.BuildNoC(soc.Config{
 		Seed:              2005, // the year the paper appeared
 		RequestsPerMaster: 30,
-		Topology:          soc.Mesh, // 4x3 mesh, XY routing
+		Topology:          transport.Mesh, // 4x3 mesh, XY routing
 	})
 	cycles, err := s.Run(10_000_000)
 	if err != nil {

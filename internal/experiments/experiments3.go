@@ -39,9 +39,9 @@ func E10TrafficSweep(seed int64) E10Result {
 	}
 
 	xb := base
-	xb.Topology = traffic.Crossbar
+	xb.Topology = transport.Crossbar
 	ms := base
-	ms.Topology = traffic.Mesh
+	ms.Topology = transport.Mesh
 	sx := traffic.Sweep(xb, e10Rates)
 	sm := traffic.Sweep(ms, e10Rates)
 

@@ -3,6 +3,7 @@ package experiments
 import (
 	"gonoc/internal/stats"
 	"gonoc/internal/traffic"
+	"gonoc/internal/transport"
 )
 
 // E12Result carries the cross-topology campaign so tests and benchmarks
@@ -25,8 +26,8 @@ var e12Rates = []float64{0.02, 0.06, 0.12, 0.20}
 // e12Topologies is the comparison set: one switch (crossbar), grid
 // (mesh), grid plus wraparound (torus), minimal links (ring), and a
 // shared-root hierarchy (tree).
-var e12Topologies = []traffic.Topology{
-	traffic.Crossbar, traffic.Mesh, traffic.Torus, traffic.Ring, traffic.Tree,
+var e12Topologies = []transport.Topology{
+	transport.Crossbar, transport.Mesh, transport.Torus, transport.Ring, transport.Tree,
 }
 
 // E12TopologyCampaign runs the same synthetic workloads — uniform-random

@@ -6,6 +6,7 @@ import (
 	"gonoc/internal/obs"
 	"gonoc/internal/stats"
 	"gonoc/internal/traffic"
+	"gonoc/internal/transport"
 )
 
 // E13 is the "why" behind E12's hotspot cliff. E12 measures that under
@@ -51,7 +52,7 @@ func e13PortName(port int) string {
 // tabulates which links hit their ceiling first.
 func E13CongestionHeatmap(seed int64) E13Result {
 	res := E13Result{}
-	for _, topo := range []traffic.Topology{traffic.Mesh, traffic.Torus} {
+	for _, topo := range []transport.Topology{transport.Mesh, transport.Torus} {
 		mon := obs.NewLinkMonitor(e13Bucket)
 		r := traffic.Run(traffic.Config{
 			Seed: seed, Nodes: 16, Topology: topo,

@@ -10,6 +10,7 @@ import (
 
 	"gonoc/internal/obs/metrics"
 	"gonoc/internal/traffic"
+	"gonoc/internal/transport"
 )
 
 // TestServeMetricsMidRun is the ISSUE's HTTP smoke test: start the
@@ -31,7 +32,7 @@ func TestServeMetricsMidRun(t *testing.T) {
 	base := "http://" + addr
 
 	cfg := traffic.Config{
-		Seed: 7, Nodes: 16, Topology: traffic.Mesh,
+		Seed: 7, Nodes: 16, Topology: transport.Mesh,
 		Pattern: traffic.UniformRandom, Rate: 0.1, PayloadBytes: 16,
 		Warmup: -1, Measure: 60000, Drain: 2000,
 		Metrics: reg, Prof: prof, Probe: coll,

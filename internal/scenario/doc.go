@@ -28,8 +28,8 @@
 //
 //   - The resolver (lower.go) — lowers a scenario onto the existing
 //     soc/traffic/obs APIs (traffic.Config, traffic.CampaignConfig,
-//     traffic.TransConfig, soc.Config) and lifts flag-driven configs
-//     back into scenarios.
+//     traffic.TransConfig, soc.Config). There is no way back: the CLIs
+//     describe flag-only runs as scenarios from the start.
 //
 //   - Execute (execute.go) — the one execution path: it runs whichever
 //     mode the measure section selects (single, sweep, campaign,

@@ -28,17 +28,27 @@ func resultBytes(t *testing.T, s *Scenario, in *Instruments) []byte {
 // every mode reports its points to both Progress and OnPoint (single
 // and trans runs as one point).
 func TestInstrumentsPassive(t *testing.T) {
+	sweep := ringScenario("sweep")
+	sweep.Measure.SweepRates = []float64{0.02, 0.06}
+	campaign := ringScenario("campaign")
+	campaign.Measure.Campaign = &Campaign{Topologies: []string{"ring", "mesh"},
+		Rates: []float64{0.02, 0.06}, Workers: 2}
+	trans := &Scenario{Version: Version, Name: "trans", Seed: 3,
+		Fabric:   Fabric{Topology: "crossbar"},
+		Workload: Workload{Kind: KindSoC},
+		Measure:  Measure{Measure: 400, Drain: 8000}}
+	for _, p := range []string{"axi", "ocp", "ahb", "pvci", "bvci", "avci", "prop"} {
+		trans.Workload.Masters = append(trans.Workload.Masters, MasterRole{Protocol: p, Rate: 0.1})
+	}
 	cases := []struct {
 		s      *Scenario
 		points int
 		label  string // of the last point, when the order is fixed
 	}{
-		{FromPacketConfig("single", flagConfig(), nil, nil), 1, "ring/uniform@0.05"},
-		{FromPacketConfig("sweep", flagConfig(), []float64{0.02, 0.06}, nil), 2, "ring/uniform@0.06"},
-		{FromPacketConfig("campaign", flagConfig(), nil, &traffic.CampaignConfig{
-			Topologies: []traffic.Topology{traffic.Ring, traffic.Mesh},
-			Rates:      []float64{0.02, 0.06}, Workers: 2}), 4, ""},
-		{FromTransConfig("trans", traffic.TransConfig{Seed: 3, Rate: 0.1, Measure: 400, Drain: 8000}), 1, "trans@0.1"},
+		{ringScenario("single"), 1, "ring/uniform@0.05"},
+		{sweep, 2, "ring/uniform@0.06"},
+		{campaign, 4, ""},
+		{trans, 1, "trans@0.1"},
 	}
 	for _, c := range cases {
 		t.Run(c.s.Name, func(t *testing.T) {

@@ -10,11 +10,7 @@ import (
 )
 
 // This file is the resolver: it lowers a validated Scenario onto the
-// concrete soc/traffic configs, and lifts flag-driven configs back into
-// scenarios (the -save-scenario export). Lower∘Lift is the identity on
-// the config fields that affect results, which is what makes an
-// exported scenario reproduce the identical seeded run — the round-trip
-// tests in scenario_test.go pin this.
+// concrete soc/traffic configs.
 
 // DefaultSeed is the seed an omitted "seed" field selects (the same
 // default the CLIs use).
@@ -72,7 +68,7 @@ func (s *Scenario) PacketConfig() (traffic.Config, error) {
 	if s.Workload.Kind != KindPacket {
 		return traffic.Config{}, fmt.Errorf("scenario %q: %s workload cannot lower onto a packet-level run (use TransConfig)", s.Name, s.Workload.Kind)
 	}
-	topo, err := traffic.ParseTopology(s.Fabric.Topology)
+	topo, err := transport.ParseTopology(s.Fabric.Topology)
 	if err != nil {
 		return traffic.Config{}, err
 	}
@@ -121,7 +117,7 @@ func (s *Scenario) CampaignConfig() (traffic.CampaignConfig, error) {
 	c := s.Measure.Campaign
 	cc := traffic.CampaignConfig{Base: base, Rates: c.Rates, Workers: c.Workers}
 	for _, t := range c.Topologies {
-		topo, err := traffic.ParseTopology(t)
+		topo, err := transport.ParseTopology(t)
 		if err != nil {
 			return traffic.CampaignConfig{}, err
 		}
@@ -149,22 +145,11 @@ func (s *Scenario) socNetConfig() transport.NetConfig {
 	return n
 }
 
-// socTopologies maps scenario topology names onto the SoC builder enum.
-var socTopologies = map[string]soc.Topology{
-	"crossbar": soc.Crossbar,
-	"mesh":     soc.Mesh,
-	"torus":    soc.Torus,
-	"ring":     soc.Ring,
-	"tree":     soc.Tree,
-}
-
-func socTopologyName(t soc.Topology) string {
-	for name, v := range socTopologies {
-		if v == t {
-			return name
-		}
-	}
-	return "crossbar"
+// topology resolves the fabric's topology name; Validate has already
+// rejected unknown names.
+func (s *Scenario) topology() transport.Topology {
+	t, _ := transport.ParseTopology(s.Fabric.Topology)
+	return t
 }
 
 // TransConfig lowers a soc-kind scenario onto traffic.RunTrans: one
@@ -175,7 +160,7 @@ func (s *Scenario) TransConfig() (traffic.TransConfig, error) {
 	}
 	tc := traffic.TransConfig{
 		Seed:     s.seed(),
-		Topology: socTopologies[s.Fabric.Topology],
+		Topology: s.topology(),
 		Hotspot:  s.Workload.Hotspot,
 		Wishbone: s.Workload.Wishbone,
 		Net:      s.socNetConfig(),
@@ -217,7 +202,7 @@ func (s *Scenario) SoCConfig() (soc.Config, error) {
 	}
 	cfg := soc.Config{
 		Seed:              s.seed(),
-		Topology:          socTopologies[s.Fabric.Topology],
+		Topology:          s.topology(),
 		Wishbone:          s.Workload.Wishbone,
 		RequestsPerMaster: s.Workload.RequestsPerMaster,
 		Net:               s.socNetConfig(),
@@ -236,145 +221,4 @@ func (s *Scenario) SoCConfig() (soc.Config, error) {
 		cfg.MasterPriority[m.Protocol] = prio
 	}
 	return cfg, nil
-}
-
-// fracPointer is the export inverse of fracSentinel.
-func fracPointer(v float64) *float64 {
-	switch {
-	case v < 0:
-		z := 0.0
-		return &z
-	case v == 0:
-		return nil
-	default:
-		return &v
-	}
-}
-
-func warmupPointer(v int64) *int64 {
-	switch {
-	case v < 0:
-		z := int64(0)
-		return &z
-	case v == 0:
-		return nil
-	default:
-		return &v
-	}
-}
-
-// fabricOf lifts a traffic.Config's fabric side into schema form.
-func fabricOf(cfg traffic.Config) Fabric {
-	f := Fabric{
-		Topology:       cfg.Topology.String(),
-		Nodes:          cfg.Nodes,
-		MeshW:          cfg.MeshW,
-		MeshH:          cfg.MeshH,
-		TreeFanout:     cfg.TreeFanout,
-		QoS:            cfg.Net.QoS,
-		FlitBytes:      cfg.Net.FlitBytes,
-		BufDepth:       cfg.Net.BufDepth,
-		MaxPendingPkts: cfg.Net.MaxPendingPkts,
-		LegacyLock:     cfg.Net.LegacyLock,
-	}
-	if cfg.Net.Mode == transport.StoreAndForward {
-		f.Mode = "saf"
-	}
-	return f
-}
-
-// FromPacketConfig lifts a flag-driven packet run into a scenario:
-// sweepRates non-empty makes it a sweep, campaign non-nil a campaign
-// (its Base is ignored in favour of cfg). The result round-trips: its
-// PacketConfig/CampaignConfig equals what was passed in, so the saved
-// file reproduces the identical seeded run.
-func FromPacketConfig(name string, cfg traffic.Config, sweepRates []float64, campaign *traffic.CampaignConfig) *Scenario {
-	s := &Scenario{
-		Version: Version,
-		Name:    name,
-		Seed:    cfg.Seed,
-		Fabric:  fabricOf(cfg),
-		Workload: Workload{
-			Kind:         KindPacket,
-			Pattern:      cfg.Pattern.String(),
-			Rate:         cfg.Rate,
-			PayloadBytes: cfg.PayloadBytes,
-			ReadFrac:     fracPointer(cfg.ReadFrac),
-			HotFrac:      cfg.HotFrac,
-			HotNode:      cfg.HotNode,
-			BurstLen:     cfg.BurstLen,
-			UrgentFrac:   cfg.UrgentFrac,
-			ClosedLoop:   cfg.ClosedLoop,
-			Window:       cfg.Window,
-		},
-		Measure: Measure{
-			Warmup:     warmupPointer(cfg.Warmup),
-			Measure:    cfg.Measure,
-			Drain:      cfg.Drain,
-			SweepRates: append([]float64(nil), sweepRates...),
-		},
-	}
-	if campaign != nil {
-		c := &Campaign{Rates: append([]float64(nil), campaign.Rates...), Workers: campaign.Workers}
-		for _, t := range campaign.Topologies {
-			c.Topologies = append(c.Topologies, t.String())
-		}
-		for _, p := range campaign.Patterns {
-			c.Patterns = append(c.Patterns, p.String())
-		}
-		s.Measure.SweepRates = nil
-		s.Measure.Campaign = c
-	}
-	return s
-}
-
-// FromTransConfig lifts a flag-driven NIU-level run into a scenario.
-// The uniform run-wide knobs become explicit per-master roles (the list
-// the run would synthesize internally), so lowering the result drives
-// the byte-identical workload.
-func FromTransConfig(name string, tc traffic.TransConfig) *Scenario {
-	rate, window, bytes := tc.Rate, tc.Window, tc.Bytes
-	if rate == 0 {
-		rate = 0.2
-	}
-	if window == 0 {
-		window = 2
-	}
-	if bytes == 0 {
-		bytes = 16
-	}
-	masters := []string{"axi", "ocp", "ahb", "pvci", "bvci", "avci", "prop"}
-	if tc.Wishbone {
-		masters = append(masters, "wb")
-	}
-	w := Workload{Kind: KindSoC, Wishbone: tc.Wishbone, Hotspot: tc.Hotspot}
-	for _, m := range masters {
-		w.Masters = append(w.Masters, MasterRole{
-			Protocol: m,
-			Rate:     rate,
-			Window:   window,
-			Bytes:    bytes,
-			ReadFrac: fracPointer(tc.ReadFrac),
-		})
-	}
-	fab := Fabric{Topology: socTopologyName(tc.Topology), QoS: tc.Net.QoS, FlitBytes: tc.Net.FlitBytes, BufDepth: tc.Net.BufDepth, MaxPendingPkts: tc.Net.MaxPendingPkts, LegacyLock: tc.Net.LegacyLock, Mode: modeName(tc.Net)}
-	return &Scenario{
-		Version:  Version,
-		Name:     name,
-		Seed:     tc.Seed,
-		Fabric:   fab,
-		Workload: w,
-		Measure: Measure{
-			Warmup:  warmupPointer(tc.Warmup),
-			Measure: tc.Measure,
-			Drain:   tc.Drain,
-		},
-	}
-}
-
-func modeName(n transport.NetConfig) string {
-	if n.Mode == transport.StoreAndForward {
-		return "saf"
-	}
-	return ""
 }

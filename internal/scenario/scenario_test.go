@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"gonoc/internal/soc"
 	"gonoc/internal/stats"
 	"gonoc/internal/traffic"
 	"gonoc/internal/transport"
@@ -61,6 +60,15 @@ func TestLoadErrorsNameTheField(t *testing.T) {
 		{"target outside every memory window",
 			minimalSoC(`{"protocol": "axi", "rate": 0.1, "target": {"base": "0x9000_0000", "size": "0x1000"}}`),
 			"not inside any mapped memory window"},
+		{"nodes on soc workload",
+			strings.Replace(minimalSoC(`{"protocol": "axi", "rate": 0.1}`), `"crossbar" }`, `"crossbar", "nodes": 64 }`, 1),
+			"fabric.nodes: packet-only field"},
+		{"mesh shape on soc workload",
+			strings.Replace(minimalSoC(`{"protocol": "axi", "rate": 0.1}`), `"crossbar" }`, `"mesh", "mesh_w": 4, "mesh_h": 4 }`, 1),
+			"fabric.mesh_w: packet-only field"},
+		{"tree fanout on soc workload",
+			strings.Replace(minimalSoC(`{"protocol": "axi", "rate": 0.1}`), `"crossbar" }`, `"tree", "tree_fanout": 2 }`, 1),
+			"fabric.tree_fanout: packet-only field"},
 		{"wb role without wishbone",
 			minimalSoC(`{"protocol": "wb", "rate": 0.1}`),
 			"workload.wishbone"},
@@ -261,13 +269,16 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-// exportCase is one noctraffic invocation in library form: cfg (or
-// trans) is the config the flags build, sentinels included ("-readfrac
-// 0" is ReadFrac -1, "-warmup 0" is Warmup -1), and the mode fields
-// pick the run.
+// exportCase is one noctraffic invocation and its library form: doc is
+// the scenario file `noctraffic <flags> -save-scenario
+// testdata/export/<name>.scenario.json` wrote before the CLI ran flag
+// runs through its scenario overrides, and cfg (or trans) is the config
+// those flags described, sentinels included ("-readfrac 0" is ReadFrac
+// -1, "-warmup 0" is Warmup -1). The mode fields pick the run.
 type exportCase struct {
 	name     string
-	cfg      traffic.Config
+	flags    string                  // the invocation, for the reader
+	cfg      traffic.Config          // packet runs
 	sweep    bool                    // -sweep; rates nil means -rates omitted
 	rates    []float64               // -rates
 	campaign *traffic.CampaignConfig // -campaign (Base is cfg)
@@ -284,40 +295,46 @@ func (c exportCase) oracle() any {
 		cc := *c.campaign
 		cc.Base = c.cfg
 		return traffic.Campaign(cc)
+	case c.sweep && c.rates == nil:
+		return traffic.Sweep(c.cfg, traffic.DefaultRates())
 	case c.sweep:
 		return traffic.Sweep(c.cfg, c.rates)
 	}
 	return traffic.Run(c.cfg)
 }
 
-// lift is the flag path's lift, the same one -save-scenario exports: an
-// omitted -rates becomes the explicit default schedule.
-func (c exportCase) lift() *Scenario {
-	switch {
-	case c.trans != nil:
-		return FromTransConfig(c.name, *c.trans)
-	case c.sweep && c.rates == nil:
-		return FromPacketConfig(c.name, c.cfg, traffic.DefaultRates(), nil)
-	}
-	return FromPacketConfig(c.name, c.cfg, c.rates, c.campaign)
-}
-
 // flagConfig is a packet config as noctraffic builds it from its flag
-// defaults, shrunk to test size.
+// defaults, shrunk to test size: "-seed 7 -nodes 8 -topology ring
+// -warmup 150 -measure 500 -drain 6000".
 func flagConfig() traffic.Config {
 	return traffic.Config{
-		Seed: 7, Nodes: 8, Topology: traffic.Ring,
+		Seed: 7, Nodes: 8, Topology: transport.Ring,
 		Pattern: traffic.UniformRandom, Rate: 0.05, PayloadBytes: 32,
 		ReadFrac: 0.5, HotFrac: 0.5, BurstLen: 8, Window: 4,
 		Warmup: 150, Measure: 500, Drain: 6000,
 	}
 }
 
-// TestExportReproducesRun is the flag path's differential test: the
-// direct traffic call on a flag-built config is the oracle, and the
-// path every noctraffic invocation now takes — lift into a scenario,
-// run it through Execute — must print the same stats.WriteJSON bytes.
-// Packet configs must also survive lower(lift(cfg)) unchanged.
+// transRoles is the role list a -trans invocation drives: one uniform
+// role per historical master, plus wb with -wb.
+func transRoles(wb bool, shape traffic.TransRole) []traffic.TransRole {
+	names := []string{"axi", "ocp", "ahb", "pvci", "bvci", "avci", "prop"}
+	if wb {
+		names = append(names, "wb")
+	}
+	roles := make([]traffic.TransRole, len(names))
+	for i, n := range names {
+		roles[i] = shape
+		roles[i].Master = n
+	}
+	return roles
+}
+
+// TestExportReproducesRun pins round-trip guarantee #1 on the exported
+// documents: each file noctraffic's -save-scenario wrote for a flag
+// invocation must lower to the config those flags describe, and
+// executing it must print the same stats.WriteJSON bytes as the direct
+// traffic call on that config, the oracle.
 func TestExportReproducesRun(t *testing.T) {
 	with := func(f func(*traffic.Config)) traffic.Config {
 		c := flagConfig()
@@ -325,39 +342,54 @@ func TestExportReproducesRun(t *testing.T) {
 		return c
 	}
 	cases := []exportCase{
-		{name: "single-sentinels", cfg: with(func(c *traffic.Config) {
-			c.Pattern, c.Rate, c.PayloadBytes, c.BurstLen, c.UrgentFrac = traffic.Bursty, 0.08, 16, 4, 0.25
-			c.ReadFrac, c.Warmup = -1, -1 // -readfrac 0 -warmup 0
-			c.Net.QoS = true
-		})},
-		{name: "single-closed-qos-saf", cfg: with(func(c *traffic.Config) {
-			c.Topology, c.ClosedLoop, c.Window = traffic.Mesh, true, 2
-			c.Net.QoS, c.Net.Mode = true, transport.StoreAndForward
-		})},
-		{name: "single-hotspot", cfg: with(func(c *traffic.Config) {
-			c.Topology, c.Pattern, c.HotNode, c.HotFrac = traffic.Torus, traffic.Hotspot, 3, 0.7
-		})},
-		{name: "sweep-default-rates", sweep: true, cfg: with(func(c *traffic.Config) {
-			c.Measure = 300
-		})},
-		{name: "sweep-rates", sweep: true, rates: []float64{0.02, 0.1}, cfg: with(func(c *traffic.Config) {
-			c.Topology, c.ClosedLoop = traffic.Tree, true // sweeps run open loop
-		})},
-		{name: "campaign-default-rates", cfg: with(func(c *traffic.Config) { c.Measure = 300 }),
-			campaign: &traffic.CampaignConfig{Topologies: []traffic.Topology{traffic.Ring, traffic.Crossbar}, Workers: 2}},
-		{name: "campaign-rates", cfg: with(func(c *traffic.Config) { c.ReadFrac = -1 }),
-			campaign: &traffic.CampaignConfig{Patterns: []traffic.Pattern{traffic.UniformRandom, traffic.Hotspot},
-				Rates: []float64{0.02, 0.08}}},
-		{name: "trans-wb-hotspot-mem", trans: &traffic.TransConfig{Seed: 3, Rate: 0.15, Window: 2, Bytes: 16,
-			ReadFrac: 0.5, Hotspot: true, Wishbone: true, Warmup: 100, Measure: 600, Drain: 8000}},
-		{name: "trans-sentinels-mesh", trans: &traffic.TransConfig{Seed: 5, Topology: soc.Mesh, Rate: 0.1,
-			Window: 4, Bytes: 32, ReadFrac: -1, Warmup: -1, Measure: 500, Drain: 8000}},
+		{name: "single-sentinels",
+			flags: "-pattern bursty -rate 0.08 -payload 16 -burstlen 4 -urgentfrac 0.25 -readfrac 0 -warmup 0 -qos",
+			cfg: with(func(c *traffic.Config) {
+				c.Pattern, c.Rate, c.PayloadBytes, c.BurstLen, c.UrgentFrac = traffic.Bursty, 0.08, 16, 4, 0.25
+				c.ReadFrac, c.Warmup = -1, -1
+				c.Net.QoS = true
+			})},
+		{name: "single-closed-qos-saf", flags: "-topology mesh -closed -window 2 -qos -mode saf",
+			cfg: with(func(c *traffic.Config) {
+				c.Topology, c.ClosedLoop, c.Window = transport.Mesh, true, 2
+				c.Net.QoS, c.Net.Mode = true, transport.StoreAndForward
+			})},
+		{name: "single-hotspot", flags: "-topology torus -pattern hotspot -hotnode 3 -hotfrac 0.7",
+			cfg: with(func(c *traffic.Config) {
+				c.Topology, c.Pattern, c.HotNode, c.HotFrac = transport.Torus, traffic.Hotspot, 3, 0.7
+			})},
+		{name: "sweep-default-rates", flags: "-sweep -measure 300", sweep: true,
+			cfg: with(func(c *traffic.Config) { c.Measure = 300 })},
+		{name: "sweep-rates", flags: "-sweep -rates 0.02,0.1 -topology tree -closed", sweep: true,
+			rates: []float64{0.02, 0.1},
+			cfg: with(func(c *traffic.Config) {
+				c.Topology, c.ClosedLoop = transport.Tree, true // sweeps run open loop
+			})},
+		{name: "campaign-default-rates", flags: "-campaign -measure 300 -topologies ring,crossbar -patterns uniform -workers 2",
+			cfg: with(func(c *traffic.Config) { c.Measure = 300 }),
+			campaign: &traffic.CampaignConfig{Topologies: []transport.Topology{transport.Ring, transport.Crossbar},
+				Patterns: []traffic.Pattern{traffic.UniformRandom}, Workers: 2}},
+		{name: "campaign-rates", flags: "-campaign -readfrac 0 -topologies ring -patterns uniform,hotspot -rates 0.02,0.08",
+			cfg: with(func(c *traffic.Config) { c.ReadFrac = -1 }),
+			campaign: &traffic.CampaignConfig{Topologies: []transport.Topology{transport.Ring},
+				Patterns: []traffic.Pattern{traffic.UniformRandom, traffic.Hotspot},
+				Rates:    []float64{0.02, 0.08}}},
+		{name: "trans-wb-hotspot-mem",
+			flags: "-trans -seed 3 -rate 0.15 -window 2 -payload 16 -readfrac 0.5 -hotspot-mem -wb -warmup 100 -measure 600 -drain 8000",
+			trans: &traffic.TransConfig{Seed: 3, Hotspot: true, Wishbone: true,
+				Roles:  transRoles(true, traffic.TransRole{Rate: 0.15, Window: 2, Bytes: 16, ReadFrac: 0.5}),
+				Warmup: 100, Measure: 600, Drain: 8000}},
+		{name: "trans-sentinels-mesh",
+			flags: "-trans -seed 5 -topology mesh -rate 0.1 -window 4 -payload 32 -readfrac 0 -warmup 0 -measure 500 -drain 8000",
+			trans: &traffic.TransConfig{Seed: 5, Topology: transport.Mesh,
+				Roles:  transRoles(false, traffic.TransRole{Rate: 0.1, Window: 4, Bytes: 32, ReadFrac: -1}),
+				Warmup: -1, Measure: 500, Drain: 8000}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			s := c.lift()
-			if err := s.Validate(); err != nil {
-				t.Fatalf("lifted scenario invalid: %v", err)
+			s, err := LoadFile(filepath.Join("testdata", "export", c.name+".scenario.json"))
+			if err != nil {
+				t.Fatal(err)
 			}
 			if c.trans == nil {
 				lowered, err := s.PacketConfig()
@@ -365,7 +397,7 @@ func TestExportReproducesRun(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !reflect.DeepEqual(c.cfg, lowered) {
-					t.Fatalf("lower(lift(cfg)) != cfg:\n  in:  %+v\n  out: %+v", c.cfg, lowered)
+					t.Fatalf("the document of %q lowers to another config:\n  flags: %+v\n  doc:   %+v", c.flags, c.cfg, lowered)
 				}
 			}
 			var want, got bytes.Buffer
@@ -380,10 +412,20 @@ func TestExportReproducesRun(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(want.Bytes(), got.Bytes()) {
-				t.Fatalf("%s: lift→Execute bytes differ from the direct traffic call", rep.Mode)
+				t.Fatalf("%s: Execute bytes differ from the direct traffic call", rep.Mode)
 			}
 		})
 	}
+}
+
+// ringScenario is flagConfig as a scenario: a small packet workload on
+// an 8-node ring.
+func ringScenario(name string) *Scenario {
+	warmup := int64(150)
+	return &Scenario{Version: Version, Name: name, Seed: 7,
+		Fabric:   Fabric{Topology: "ring", Nodes: 8},
+		Workload: Workload{Kind: KindPacket, Rate: 0.05},
+		Measure:  Measure{Warmup: &warmup, Measure: 500, Drain: 6000}}
 }
 
 // TestCampaignBytesIgnoreWorkers: the fingerprint ignores the campaign
@@ -394,11 +436,9 @@ func TestCampaignBytesIgnoreWorkers(t *testing.T) {
 	var out [2]bytes.Buffer
 	var fps [2]string
 	for i, workers := range []int{1, 3} {
-		s := FromPacketConfig("workers", flagConfig(), nil, &traffic.CampaignConfig{
-			Topologies: []traffic.Topology{traffic.Ring, traffic.Mesh},
-			Rates:      []float64{0.02, 0.06},
-			Workers:    workers,
-		})
+		s := ringScenario("workers")
+		s.Measure.Campaign = &Campaign{Topologies: []string{"ring", "mesh"},
+			Rates: []float64{0.02, 0.06}, Workers: workers}
 		fp, err := s.Fingerprint()
 		if err != nil {
 			t.Fatal(err)

@@ -7,6 +7,7 @@ import (
 	"gonoc/internal/noctypes"
 	"gonoc/internal/soc"
 	"gonoc/internal/traffic"
+	"gonoc/internal/transport"
 )
 
 // Every validation error names the offending field by its JSON path
@@ -121,7 +122,7 @@ func (s *Scenario) validateFabric() error {
 	if f.Topology == "" {
 		return errf("fabric.topology", "required (want crossbar|mesh|torus|ring|tree)")
 	}
-	if _, err := traffic.ParseTopology(f.Topology); err != nil {
+	if _, err := transport.ParseTopology(f.Topology); err != nil {
 		return errf("fabric.topology", "unknown topology %q (want crossbar|mesh|torus|ring|tree)", f.Topology)
 	}
 	switch f.Mode {
@@ -208,6 +209,20 @@ func (s *Scenario) validateSoC() error {
 		w.HotFrac != 0 || w.HotNode != 0 || w.BurstLen != 0 || w.UrgentFrac != 0 ||
 		w.ClosedLoop || w.Window != 0 {
 		return errf("workload.pattern", "packet-only fields set on a %q workload (pattern/rate/payload_bytes/read_frac/…)", KindSoC)
+	}
+	// The SoC's node set and its placement are the composition itself.
+	for _, c := range []struct {
+		field string
+		v     int
+	}{
+		{"fabric.nodes", s.Fabric.Nodes},
+		{"fabric.mesh_w", s.Fabric.MeshW},
+		{"fabric.mesh_h", s.Fabric.MeshH},
+		{"fabric.tree_fanout", s.Fabric.TreeFanout},
+	} {
+		if c.v != 0 {
+			return errf(c.field, "packet-only field set on a %q workload (the SoC build places its own sockets)", KindSoC)
+		}
 	}
 	if len(w.Masters) == 0 {
 		return errf("workload.masters", "a %q workload needs at least one master role", KindSoC)
@@ -325,7 +340,7 @@ func (s *Scenario) validateMeasure() error {
 	}
 	if c := m.Campaign; c != nil {
 		for i, t := range c.Topologies {
-			if _, err := traffic.ParseTopology(t); err != nil {
+			if _, err := transport.ParseTopology(t); err != nil {
 				return errf(fmt.Sprintf("measure.campaign.topologies[%d]", i), "unknown topology %q", t)
 			}
 		}

@@ -26,8 +26,8 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 func TestNoCGolden(t *testing.T) {
 	topos := []struct {
 		name string
-		topo Topology
-	}{{"crossbar", Crossbar}, {"mesh", Mesh}, {"torus", Torus}, {"ring", Ring}, {"tree", Tree}}
+		topo transport.Topology
+	}{{"crossbar", transport.Crossbar}, {"mesh", transport.Mesh}, {"torus", transport.Torus}, {"ring", transport.Ring}, {"tree", transport.Tree}}
 	for _, tp := range topos {
 		for _, mode := range []string{"wormhole", "saf"} {
 			for _, wb := range []bool{false, true} {

@@ -49,18 +49,6 @@ const (
 	MemSize     = 1 << 20
 )
 
-// Topology selects the NoC shape.
-type Topology uint8
-
-// Topologies.
-const (
-	Crossbar Topology = iota
-	Mesh
-	Tree
-	Torus
-	Ring
-)
-
 // Config parameterizes a system build.
 type Config struct {
 	Seed              int64
@@ -92,7 +80,7 @@ type Config struct {
 
 	// NoC knobs.
 	Net         transport.NetConfig
-	Topology    Topology
+	Topology    transport.Topology
 	Services    core.ServiceSet
 	Outstanding int // master NIU MaxOutstanding
 
@@ -244,25 +232,8 @@ func BuildNoC(cfg Config) *System {
 	if cfg.Wishbone {
 		nodes = append(nodes, NodeWBM, NodeWBMem)
 	}
-	switch cfg.Topology {
-	case Mesh, Torus:
-		h := (len(nodes) + 3) / 4 // grow rows as sockets are added (4x3 historically)
-		spec := transport.MeshSpec{W: 4, H: h, Nodes: map[noctypes.NodeID]transport.Coord{}}
-		for i, n := range nodes {
-			spec.Nodes[n] = transport.Coord{X: i % 4, Y: i / 4}
-		}
-		if cfg.Topology == Torus {
-			s.Net = transport.NewTorus(s.Clk, cfg.Net, spec)
-		} else {
-			s.Net = transport.NewMesh(s.Clk, cfg.Net, spec)
-		}
-	case Tree:
-		s.Net = transport.NewTree(s.Clk, cfg.Net, 3, nodes)
-	case Ring:
-		s.Net = transport.NewRing(s.Clk, cfg.Net, nodes)
-	default:
-		s.Net = transport.NewCrossbar(s.Clk, cfg.Net, nodes)
-	}
+	// A four-wide grid grows rows as sockets are added (4x3 historically).
+	s.Net = transport.Build(s.Clk, cfg.Net, transport.Layout{Topology: cfg.Topology, W: 4, Fanout: 3}, nodes)
 	if cfg.Probe != nil {
 		s.Net.SetProbe(cfg.Probe)
 	}

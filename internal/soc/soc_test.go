@@ -57,7 +57,7 @@ func TestNoCAndBusSameSeedSameData(t *testing.T) {
 }
 
 func TestNoCTopologies(t *testing.T) {
-	for _, topo := range []Topology{Crossbar, Mesh, Tree} {
+	for _, topo := range []transport.Topology{transport.Crossbar, transport.Mesh, transport.Tree} {
 		s := BuildNoC(Config{Seed: 3, RequestsPerMaster: 6, Topology: topo})
 		if _, err := s.Run(2_000_000); err != nil {
 			t.Fatalf("topology %d: %v", topo, err)
@@ -137,7 +137,7 @@ func TestIssuersDriveEveryMasterThroughNIUs(t *testing.T) {
 }
 
 func TestWishboneNoCCompletes(t *testing.T) {
-	for _, topo := range []Topology{Crossbar, Mesh, Tree} {
+	for _, topo := range []transport.Topology{transport.Crossbar, transport.Mesh, transport.Tree} {
 		s := BuildNoC(Config{Seed: 11, RequestsPerMaster: 10, Topology: topo, Wishbone: true})
 		if _, err := s.Run(5_000_000); err != nil {
 			t.Fatalf("topology %d: %v", topo, err)

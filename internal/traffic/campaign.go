@@ -10,6 +10,7 @@ import (
 	"gonoc/internal/obs/metrics"
 	"gonoc/internal/sim"
 	"gonoc/internal/stats"
+	"gonoc/internal/transport"
 )
 
 // This file is the campaign layer: one call fans a cartesian set of
@@ -28,10 +29,10 @@ import (
 // are overridden per point; its Seed seeds the campaign).
 type CampaignConfig struct {
 	Base       Config
-	Topologies []Topology // default: Base.Topology only
-	Patterns   []Pattern  // default: Base.Pattern only
-	Rates      []float64  // default: DefaultRates()
-	Workers    int        // worker-pool size (default: GOMAXPROCS)
+	Topologies []transport.Topology // default: Base.Topology only
+	Patterns   []Pattern            // default: Base.Pattern only
+	Rates      []float64            // default: DefaultRates()
+	Workers    int                  // worker-pool size (default: GOMAXPROCS)
 
 	// HeatmapBuckets, when positive, attaches a fresh obs.LinkMonitor
 	// (with that time-bucket width in cycles) to every point and
@@ -101,7 +102,7 @@ type CampaignWall struct {
 }
 
 // pointSeed derives the deterministic seed for one campaign point.
-func pointSeed(root *sim.RNG, topo Topology, pat Pattern, rate float64) int64 {
+func pointSeed(root *sim.RNG, topo transport.Topology, pat Pattern, rate float64) int64 {
 	return root.Fork(fmt.Sprintf("point/%s/%s/%g", topo, pat, rate)).Seed()
 }
 
@@ -110,7 +111,7 @@ func pointSeed(root *sim.RNG, topo Topology, pat Pattern, rate float64) int64 {
 // order regardless of which worker ran them when.
 func Campaign(cfg CampaignConfig) CampaignResult {
 	if len(cfg.Topologies) == 0 {
-		cfg.Topologies = []Topology{cfg.Base.Topology}
+		cfg.Topologies = []transport.Topology{cfg.Base.Topology}
 	}
 	if len(cfg.Patterns) == 0 {
 		cfg.Patterns = []Pattern{cfg.Base.Pattern}

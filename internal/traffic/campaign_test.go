@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+
+	"gonoc/internal/transport"
 	"time"
 )
 
@@ -14,7 +16,7 @@ func testCampaignConfig(seed int64) CampaignConfig {
 			Seed: seed, Nodes: 8, PayloadBytes: 16,
 			Warmup: 200, Measure: 800, Drain: 6000,
 		},
-		Topologies: []Topology{Crossbar, Mesh, Torus, Ring, Tree},
+		Topologies: []transport.Topology{transport.Crossbar, transport.Mesh, transport.Torus, transport.Ring, transport.Tree},
 		Patterns:   []Pattern{UniformRandom, Hotspot},
 		Rates:      []float64{0.02, 0.08},
 	}
@@ -86,7 +88,7 @@ func TestCampaignParallelMatchesSerial(t *testing.T) {
 func TestCampaignSeedsStable(t *testing.T) {
 	full := Campaign(func() CampaignConfig { c := testCampaignConfig(44); c.Workers = 2; return c }())
 	sub := testCampaignConfig(44)
-	sub.Topologies = []Topology{Ring}
+	sub.Topologies = []transport.Topology{transport.Ring}
 	sub.Workers = 1
 	one := Campaign(sub)
 	// Ring points sit at topology index 3 in the full enumeration.

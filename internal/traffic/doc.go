@@ -22,11 +22,11 @@
 //     product of such runs across a worker pool;
 //   - RunTrans drives the full mixed-protocol SoC through its existing
 //     NIUs via soc.Issuers, measuring transaction latency end-to-end
-//     through the protocol engines — uniformly (the run-wide knobs), or
-//     per master via TransConfig.Roles: each TransRole names a socket
-//     and sets its own rate, outstanding window, burst shape, NIU
-//     priority class, and target address window. Roles are the lowering
-//     target of the declarative scenario layer (internal/scenario).
+//     through the protocol engines, per master via TransConfig.Roles:
+//     each TransRole names a socket and sets its own rate, outstanding
+//     window, burst shape, NIU priority class, and target address
+//     window. Roles are the lowering target of the declarative scenario
+//     layer (internal/scenario).
 //
 // Both accept an internal/obs probe (Config.Probe, TransConfig.Probe,
 // CampaignConfig.HeatmapBuckets) for per-run traces and congestion

@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"gonoc/internal/transport"
 )
 
 // goldenRuns are the seed-pinned configurations whose full Result JSON
@@ -20,33 +22,33 @@ var goldenRuns = []struct {
 	name string
 	cfg  Config
 }{
-	{"crossbar", Config{Seed: 11, Nodes: 8, Topology: Crossbar,
+	{"crossbar", Config{Seed: 11, Nodes: 8, Topology: transport.Crossbar,
 		Pattern: UniformRandom, Rate: 0.08, PayloadBytes: 32,
 		Warmup: 200, Measure: 800, Drain: 4000}},
-	{"mesh", Config{Seed: 12, Nodes: 9, Topology: Mesh, MeshW: 3, MeshH: 3,
+	{"mesh", Config{Seed: 12, Nodes: 9, Topology: transport.Mesh, MeshW: 3, MeshH: 3,
 		Pattern: Transpose, Rate: 0.06, PayloadBytes: 32,
 		Warmup: 200, Measure: 800, Drain: 4000}},
-	{"torus", Config{Seed: 13, Nodes: 16, Topology: Torus, MeshW: 4, MeshH: 4,
+	{"torus", Config{Seed: 13, Nodes: 16, Topology: transport.Torus, MeshW: 4, MeshH: 4,
 		Pattern: UniformRandom, Rate: 0.05, PayloadBytes: 24,
 		Warmup: 200, Measure: 800, Drain: 4000}},
-	{"ring", Config{Seed: 14, Nodes: 8, Topology: Ring,
+	{"ring", Config{Seed: 14, Nodes: 8, Topology: transport.Ring,
 		Pattern: NearestNeighbor, Rate: 0.07, PayloadBytes: 16,
 		Warmup: 200, Measure: 800, Drain: 4000}},
-	{"tree", Config{Seed: 15, Nodes: 8, Topology: Tree, TreeFanout: 4,
+	{"tree", Config{Seed: 15, Nodes: 8, Topology: transport.Tree, TreeFanout: 4,
 		Pattern: Hotspot, HotFrac: 0.4, Rate: 0.05, PayloadBytes: 32,
 		Warmup: 200, Measure: 800, Drain: 4000}},
 	// Variants that reach code the uniform wormhole runs do not: whole-
 	// packet buffering (store-and-forward readiness scan) and the
 	// closed-loop window regulator.
 	{"mesh-saf", func() Config {
-		c := Config{Seed: 16, Nodes: 9, Topology: Mesh, MeshW: 3, MeshH: 3,
+		c := Config{Seed: 16, Nodes: 9, Topology: transport.Mesh, MeshW: 3, MeshH: 3,
 			Pattern: UniformRandom, Rate: 0.05, PayloadBytes: 32,
 			Warmup: 200, Measure: 800, Drain: 4000}
 		c.Net.Mode = 1 // transport.StoreAndForward
 		c.Net.BufDepth = 8
 		return c
 	}()},
-	{"ring-closed", Config{Seed: 17, Nodes: 8, Topology: Ring,
+	{"ring-closed", Config{Seed: 17, Nodes: 8, Topology: transport.Ring,
 		Pattern: UniformRandom, PayloadBytes: 16, ClosedLoop: true, Window: 2,
 		Warmup: 200, Measure: 800, Drain: 4000}},
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"gonoc/internal/obs/metrics"
+	"gonoc/internal/transport"
 )
 
 // TestMetricsPassive pins the ISSUE's acceptance criterion: a run with
@@ -127,7 +128,7 @@ func TestCampaignProgressAndWall(t *testing.T) {
 	var calls []PointDone
 	ccfg := CampaignConfig{
 		Base:       base,
-		Topologies: []Topology{Crossbar, Mesh},
+		Topologies: []transport.Topology{transport.Crossbar, transport.Mesh},
 		Patterns:   []Pattern{UniformRandom},
 		Rates:      []float64{0.02, 0.05},
 		Workers:    2,

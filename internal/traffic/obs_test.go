@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"gonoc/internal/obs"
+	"gonoc/internal/transport"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
@@ -18,7 +19,7 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 // file, busy enough to exercise multi-hop paths and both directions.
 func tinyCfg() Config {
 	return Config{
-		Seed: 7, Nodes: 4, Topology: Mesh, MeshW: 2, MeshH: 2,
+		Seed: 7, Nodes: 4, Topology: transport.Mesh, MeshW: 2, MeshH: 2,
 		Pattern: UniformRandom, Rate: 0.05, PayloadBytes: 16,
 		Warmup: -1, Measure: 120, Drain: 400,
 	}
@@ -106,7 +107,7 @@ func TestProbePassive(t *testing.T) {
 // exact: per-link flit counts sum to the report total, which equals
 // the fabric's own forwarded-flit counter for the run.
 func TestHeatmapFlitConservation(t *testing.T) {
-	for _, topo := range []Topology{Crossbar, Mesh, Torus, Ring, Tree} {
+	for _, topo := range []transport.Topology{transport.Crossbar, transport.Mesh, transport.Torus, transport.Ring, transport.Tree} {
 		cfg := tinyCfg()
 		cfg.Topology = topo
 		mon := obs.NewLinkMonitor(64)
@@ -136,7 +137,7 @@ func TestHeatmapFlitConservation(t *testing.T) {
 func TestCampaignHeatmaps(t *testing.T) {
 	ccfg := CampaignConfig{
 		Base:       tinyCfg(),
-		Topologies: []Topology{Crossbar, Mesh},
+		Topologies: []transport.Topology{transport.Crossbar, transport.Mesh},
 		Patterns:   []Pattern{UniformRandom},
 		Rates:      []float64{0.02, 0.05},
 		Workers:    2,

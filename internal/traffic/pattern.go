@@ -1,6 +1,9 @@
 package traffic
 
-import "gonoc/internal/sim"
+import (
+	"gonoc/internal/sim"
+	"gonoc/internal/transport"
+)
 
 // chooser picks destinations for one source node according to the
 // configured pattern. Deterministic patterns (transpose, bit-complement)
@@ -116,8 +119,8 @@ func (ch *chooser) next() int {
 		}
 		return uniformOther(ch.rng, ch.n, ch.src)
 	case NearestNeighbor:
-		if ch.cfg.Topology == Mesh || ch.cfg.Topology == Torus {
-			if nb := gridNeighbors(ch.src, ch.w, ch.h, ch.n, ch.cfg.Topology == Torus); len(nb) > 0 {
+		if ch.cfg.Topology == transport.Mesh || ch.cfg.Topology == transport.Torus {
+			if nb := gridNeighbors(ch.src, ch.w, ch.h, ch.n, ch.cfg.Topology == transport.Torus); len(nb) > 0 {
 				return nb[ch.rng.Intn(len(nb))]
 			}
 		}
@@ -142,7 +145,7 @@ func (ch *chooser) next() int {
 // geomW/geomH are the logical grid for coordinate patterns: the mesh
 // (or torus) shape when on one, else the largest inscribed square.
 func (ch *chooser) geomW() int {
-	if ch.cfg.Topology == Mesh || ch.cfg.Topology == Torus {
+	if ch.cfg.Topology == transport.Mesh || ch.cfg.Topology == transport.Torus {
 		return ch.w
 	}
 	s := 1
@@ -153,7 +156,7 @@ func (ch *chooser) geomW() int {
 }
 
 func (ch *chooser) geomH() int {
-	if ch.cfg.Topology == Mesh || ch.cfg.Topology == Torus {
+	if ch.cfg.Topology == transport.Mesh || ch.cfg.Topology == transport.Torus {
 		return ch.h
 	}
 	return ch.geomW()

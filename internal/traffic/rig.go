@@ -78,27 +78,8 @@ func newRig(cfg *Config) *rig {
 	for i := range nodes {
 		nodes[i] = nodeID(i)
 	}
-	switch cfg.Topology {
-	case Mesh, Torus:
-		if cfg.MeshW*cfg.MeshH < cfg.Nodes {
-			panic(fmt.Sprintf("traffic: %dx%d %s cannot hold %d nodes", cfg.MeshW, cfg.MeshH, cfg.Topology, cfg.Nodes))
-		}
-		spec := transport.MeshSpec{W: cfg.MeshW, H: cfg.MeshH, Nodes: map[noctypes.NodeID]transport.Coord{}}
-		for i, n := range nodes {
-			spec.Nodes[n] = transport.Coord{X: i % cfg.MeshW, Y: i / cfg.MeshW}
-		}
-		if cfg.Topology == Torus {
-			r.net = transport.NewTorus(r.clk, cfg.Net, spec)
-		} else {
-			r.net = transport.NewMesh(r.clk, cfg.Net, spec)
-		}
-	case Ring:
-		r.net = transport.NewRing(r.clk, cfg.Net, nodes)
-	case Tree:
-		r.net = transport.NewTree(r.clk, cfg.Net, cfg.TreeFanout, nodes)
-	default:
-		r.net = transport.NewCrossbar(r.clk, cfg.Net, nodes)
-	}
+	r.net = transport.Build(r.clk, cfg.Net,
+		transport.Layout{Topology: cfg.Topology, W: cfg.MeshW, H: cfg.MeshH, Fanout: cfg.TreeFanout}, nodes)
 
 	r.col.perFlow = make(map[Flow]*stats.Latency)
 	r.net.OnTransit = func(rec transport.TransitRecord) {

@@ -169,7 +169,7 @@ func TestDrainCapExact(t *testing.T) {
 // topology end to end — the traffic-layer proof that topology is a
 // transport-layer choice.
 func TestRunAllTopologies(t *testing.T) {
-	for _, topo := range Topologies() {
+	for _, topo := range []transport.Topology{transport.Crossbar, transport.Mesh, transport.Torus, transport.Ring, transport.Tree} {
 		res := Run(Config{
 			Seed: 16, Nodes: 16, Topology: topo, Pattern: UniformRandom, Rate: 0.02,
 			Warmup: 300, Measure: 1200, Drain: 20000,
@@ -183,7 +183,7 @@ func TestRunAllTopologies(t *testing.T) {
 		if res.Topology != topo.String() {
 			t.Fatalf("topology label %q, want %q", res.Topology, topo)
 		}
-		if topo != Crossbar && res.AvgHops <= 1 {
+		if topo != transport.Crossbar && res.AvgHops <= 1 {
 			t.Fatalf("%s: avg hops %.2f implausible for a multi-switch fabric", topo, res.AvgHops)
 		}
 	}
@@ -199,9 +199,9 @@ func TestTorusBeatsMeshUnderLoad(t *testing.T) {
 		Warmup: 500, Measure: 2500, Drain: 12000,
 	}
 	mesh := base
-	mesh.Topology = Mesh
+	mesh.Topology = transport.Mesh
 	torus := base
-	torus.Topology = Torus
+	torus.Topology = transport.Torus
 	rm, rt := Run(mesh), Run(torus)
 	if rt.AvgHops >= rm.AvgHops {
 		t.Fatalf("torus avg hops %.2f not below mesh %.2f", rt.AvgHops, rm.AvgHops)

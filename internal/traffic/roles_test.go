@@ -7,34 +7,22 @@ import (
 	"gonoc/internal/noctypes"
 )
 
-// TestTransRolesLegacyEquivalence pins the RunTrans refactor: an
-// explicit role list that mirrors the uniform run-wide knobs must drive
-// the byte-identical workload the legacy (empty Roles) path drives —
-// same RNG streams, same addresses, same digests.
-func TestTransRolesLegacyEquivalence(t *testing.T) {
-	base := TransConfig{Seed: 11, Rate: 0.2, Window: 2, Bytes: 16,
-		Warmup: 200, Measure: 800, Drain: 8000}
-	for _, wb := range []bool{false, true} {
-		for _, hot := range []bool{false, true} {
-			legacy := base
-			legacy.Wishbone, legacy.Hotspot = wb, hot
-
-			explicit := legacy
-			names := []string{"axi", "ocp", "ahb", "pvci", "bvci", "avci", "prop"}
-			if wb {
-				names = append(names, "wb")
-			}
-			for _, n := range names {
-				explicit.Roles = append(explicit.Roles, TransRole{
-					Master: n, Rate: base.Rate, Window: base.Window, Bytes: base.Bytes,
-				})
-			}
-
-			a, b := RunTrans(legacy), RunTrans(explicit)
-			if !reflect.DeepEqual(a, b) {
-				t.Fatalf("wb=%v hot=%v: explicit uniform roles diverge from the legacy path:\nlegacy:   %+v\nexplicit: %+v", wb, hot, a, b)
-			}
-		}
+// TestTransRoleDefaults pins what a zero role field selects: window 2,
+// 16-byte transactions, half reads; a negative read fraction is all
+// writes, and set fields are kept.
+func TestTransRoleDefaults(t *testing.T) {
+	got := resolveRoles(TransConfig{Roles: []TransRole{
+		{Master: "axi", Rate: 0.1},
+		{Master: "ocp", Rate: 0.2, Window: 5, Bytes: 64, ReadFrac: -1},
+		{Master: "ahb", Rate: 0.3, ReadFrac: 0.25},
+	}})
+	want := []TransRole{
+		{Master: "axi", Rate: 0.1, Window: 2, Bytes: 16, ReadFrac: 0.5},
+		{Master: "ocp", Rate: 0.2, Window: 5, Bytes: 64, ReadFrac: 0},
+		{Master: "ahb", Rate: 0.3, Window: 2, Bytes: 16, ReadFrac: 0.25},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("resolved roles:\n got  %+v\n want %+v", got, want)
 	}
 }
 

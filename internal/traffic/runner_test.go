@@ -89,7 +89,7 @@ func TestClosedLoopWindow(t *testing.T) {
 
 func TestMeshTransposeRuns(t *testing.T) {
 	res := Run(Config{
-		Seed: 4, Nodes: 16, Topology: Mesh, Pattern: Transpose, Rate: 0.04,
+		Seed: 4, Nodes: 16, Topology: transport.Mesh, Pattern: Transpose, Rate: 0.04,
 		Warmup: 500, Measure: 2000, Drain: 25000,
 	})
 	if res.Latency.Count == 0 || res.Incomplete != 0 {

@@ -61,63 +61,16 @@ func ParsePattern(s string) (Pattern, error) {
 	return 0, fmt.Errorf("traffic: unknown pattern %q (want uniform|hotspot|transpose|bitcomp|neighbor|bursty)", s)
 }
 
-// Topology selects the fabric shape for the packet-level engines.
-type Topology uint8
-
-// Topologies. All five transport builders are reachable: topology is a
-// transport-layer choice, so every pattern/rate configuration runs
-// unchanged on any of them.
-const (
-	Crossbar Topology = iota
-	Mesh
-	Torus
-	Ring
-	Tree
-)
-
-var topologyNames = map[Topology]string{
-	Crossbar: "crossbar",
-	Mesh:     "mesh",
-	Torus:    "torus",
-	Ring:     "ring",
-	Tree:     "tree",
-}
-
-// Topologies returns all selectable topologies in display order.
-func Topologies() []Topology { return []Topology{Crossbar, Mesh, Torus, Ring, Tree} }
-
-// String renders the topology's CLI name.
-func (t Topology) String() string {
-	if s, ok := topologyNames[t]; ok {
-		return s
-	}
-	return fmt.Sprintf("topology%d", uint8(t))
-}
-
-// ParseTopology resolves a CLI name to a Topology.
-func ParseTopology(s string) (Topology, error) {
-	name := strings.ToLower(strings.TrimSpace(s))
-	if name == "xbar" {
-		return Crossbar, nil
-	}
-	for t, n := range topologyNames {
-		if n == name {
-			return t, nil
-		}
-	}
-	return 0, fmt.Errorf("traffic: unknown topology %q (want crossbar|mesh|torus|ring|tree)", s)
-}
-
 // Config parameterizes one traffic run on a raw transport fabric.
 type Config struct {
 	Seed int64
 
 	// Fabric.
-	Nodes      int      // endpoint count (default 16)
-	Topology   Topology // crossbar, mesh, torus, ring, or tree
-	MeshW      int      // mesh/torus width (default: square from Nodes)
-	MeshH      int      // mesh/torus height
-	TreeFanout int      // tree: endpoints per leaf switch (default 4)
+	Nodes      int                // endpoint count (default 16)
+	Topology   transport.Topology // crossbar, mesh, torus, ring, or tree
+	MeshW      int                // mesh/torus width (default: square from Nodes)
+	MeshH      int                // mesh/torus height
+	TreeFanout int                // tree: endpoints per leaf switch (default 4)
 	Net        transport.NetConfig
 
 	// Workload.
@@ -176,7 +129,7 @@ func (c Config) withDefaults() Config {
 	if c.Nodes == 0 {
 		c.Nodes = 16
 	}
-	if (c.Topology == Mesh || c.Topology == Torus) && (c.MeshW == 0 || c.MeshH == 0) {
+	if (c.Topology == transport.Mesh || c.Topology == transport.Torus) && (c.MeshW == 0 || c.MeshH == 0) {
 		w := 1
 		for (w+1)*(w+1) <= c.Nodes {
 			w++
@@ -225,7 +178,7 @@ func (c Config) withDefaults() Config {
 	// cut-through admission also buffers whole packets — must hold the
 	// largest packet this workload produces; size them rather than
 	// panicking deep inside transport.
-	if c.Net.Mode == transport.StoreAndForward || c.Topology == Ring || c.Topology == Torus {
+	if c.Net.Mode == transport.StoreAndForward || c.Topology == transport.Ring || c.Topology == transport.Torus {
 		// The non-data leg carries ackBytes, which is the larger payload
 		// when PayloadBytes is tiny.
 		maxPayload := c.PayloadBytes

@@ -15,16 +15,14 @@ import (
 )
 
 // TransRole configures one master's traffic role in a transaction-level
-// run. Zero fields inherit the run-wide defaults from TransConfig
-// (Rate, Window, Bytes, ReadFrac), so a role list that only names
-// sockets reproduces the uniform historical workload exactly.
+// run. Zero Window, Bytes and ReadFrac take the role defaults.
 type TransRole struct {
 	Master string // socket name: axi, ocp, ahb, pvci, bvci, avci, prop, or wb
 
-	Rate     float64 // issue probability per cycle (0 = TransConfig.Rate)
-	Window   int     // max outstanding (0 = TransConfig.Window)
-	Bytes    int     // bytes per transaction (0 = TransConfig.Bytes)
-	ReadFrac float64 // fraction of reads (0 = TransConfig.ReadFrac; negative = all writes)
+	Rate     float64 // issue probability per cycle
+	Window   int     // max outstanding (default 2)
+	Bytes    int     // bytes per transaction (default 16)
+	ReadFrac float64 // fraction of reads (default 0.5; negative = all writes)
 
 	// Priority, when PrioritySet, overrides the master NIU's injection
 	// priority (soc.Config.MasterPriority); otherwise the NIU keeps
@@ -45,34 +43,26 @@ type TransRole struct {
 }
 
 // TransConfig parameterizes a transaction-level load run: the full
-// mixed-protocol SoC is built (Fig-1 NoC), and protocol masters are
-// driven through their existing NIUs by rate-controlled issuers — open
-// loop in arrival (Bernoulli at Rate), bounded by Window outstanding.
-//
-// With Roles empty every master in the build is driven with the uniform
-// run-wide knobs (the historical workload). A non-empty Roles list
-// drives exactly the named sockets, each with its own rate, window,
-// transaction size, read mix, NIU priority, and target address window —
-// the hook the scenario layer (internal/scenario) lowers declarative
-// compositions onto.
+// mixed-protocol SoC is built (Fig-1 NoC), and the masters named by
+// Roles are driven through their existing NIUs by rate-controlled
+// issuers — open loop in arrival (Bernoulli at the role's rate), bounded
+// by its window of outstanding transactions. Each role carries its own
+// rate, window, transaction size, read mix, NIU priority and target
+// address window: the hook the scenario layer (internal/scenario)
+// lowers declarative compositions onto.
 type TransConfig struct {
 	Seed     int64
-	Topology soc.Topology
-	Rate     float64 // issue probability per master per cycle (default 0.2)
-	Window   int     // max outstanding per master (default 2)
-	Bytes    int     // bytes per transaction (default 16)
-	ReadFrac float64 // fraction of reads (default 0.5; negative = all writes)
-	Hotspot  bool    // true: all masters hammer the AXI memory; false: spread over the memories
-	Wishbone bool    // add the Wishbone master (and its memory) to the driven SoC
+	Topology transport.Topology
+	Hotspot  bool // true: all masters hammer the AXI memory; false: spread over the memories
+	Wishbone bool // add the Wishbone master (and its memory) to the driven SoC
 
 	// Net forwards fabric knobs (switching mode, QoS, flit width,
 	// buffer depth) to the SoC build; the zero value keeps the
 	// historical soc defaults.
 	Net transport.NetConfig
 
-	// Roles, when non-empty, selects and parameterizes the driven
-	// masters individually; see TransRole. A role naming "wb" implies
-	// Wishbone.
+	// Roles selects and parameterizes the driven masters; see
+	// TransRole. A role naming "wb" implies Wishbone.
 	Roles []TransRole
 
 	Warmup  int64 // default 500; negative = none
@@ -93,21 +83,6 @@ type TransConfig struct {
 }
 
 func (c TransConfig) withDefaults() TransConfig {
-	if c.Rate == 0 {
-		c.Rate = 0.2
-	}
-	if c.Window == 0 {
-		c.Window = 2
-	}
-	if c.Bytes == 0 {
-		c.Bytes = 16
-	}
-	switch {
-	case c.ReadFrac == 0:
-		c.ReadFrac = 0.5
-	case c.ReadFrac < 0:
-		c.ReadFrac = 0
-	}
 	switch {
 	case c.Warmup == 0:
 		c.Warmup = 500
@@ -151,44 +126,27 @@ type TransResult struct {
 // socket's encoding and costs at most a few spare flits of buffer.
 const reqWireOverhead = 32
 
-// transMasters is the driving order (also the report order); "wb" joins
-// at the end when TransConfig.Wishbone is set, so the established
-// seven-master seeds are undisturbed.
-var transMasters = []string{"axi", "ocp", "ahb", "pvci", "bvci", "avci", "prop"}
+// Role defaults: what a zero TransRole field selects.
+const (
+	defaultRoleWindow   = 2
+	defaultRoleBytes    = 16
+	defaultRoleReadFrac = 0.5
+)
 
-// resolveRoles normalizes a defaulted TransConfig into the concrete role
-// list RunTrans drives: explicit Roles with inherited fields filled, or
-// the synthesized uniform role per built master when Roles is empty. The
-// synthesized list is what the historical uniform code path drove, so
-// both forms execute identically.
+// resolveRoles returns tc.Roles with the role defaults filled in.
 func resolveRoles(tc TransConfig) []TransRole {
-	roles := tc.Roles
-	if len(roles) == 0 {
-		names := transMasters
-		if tc.Wishbone {
-			names = append(append([]string(nil), transMasters...), "wb")
-		}
-		roles = make([]TransRole, len(names))
-		for i, n := range names {
-			roles[i] = TransRole{Master: n}
-		}
-	} else {
-		roles = append([]TransRole(nil), roles...)
-	}
+	roles := append([]TransRole(nil), tc.Roles...)
 	for i := range roles {
 		r := &roles[i]
-		if r.Rate == 0 {
-			r.Rate = tc.Rate
-		}
 		if r.Window == 0 {
-			r.Window = tc.Window
+			r.Window = defaultRoleWindow
 		}
 		if r.Bytes == 0 {
-			r.Bytes = tc.Bytes
+			r.Bytes = defaultRoleBytes
 		}
 		switch {
 		case r.ReadFrac == 0:
-			r.ReadFrac = tc.ReadFrac
+			r.ReadFrac = defaultRoleReadFrac
 		case r.ReadFrac < 0:
 			r.ReadFrac = 0
 		}
@@ -198,9 +156,13 @@ func resolveRoles(tc TransConfig) []TransRole {
 
 // RunTrans drives the mixed SoC through its NIUs and measures
 // transaction latency per master. It panics on malformed role lists
-// (unknown socket, duplicate socket, bad target window) — the scenario
-// layer validates these with field-level errors before lowering here.
+// (empty, unknown socket, duplicate socket, bad target window) — the
+// scenario layer validates these with field-level errors before
+// lowering here.
 func RunTrans(tc TransConfig) TransResult {
+	if len(tc.Roles) == 0 {
+		panic("traffic: a trans run needs at least one role")
+	}
 	tc = tc.withDefaults()
 	roles := resolveRoles(tc)
 	wishbone := tc.Wishbone
@@ -227,7 +189,7 @@ func RunTrans(tc TransConfig) TransResult {
 	// packet path). The NIU wire format adds a bounded request/response
 	// header on top of the data beats; reqWireOverhead over-reserves a
 	// little rather than panicking deep inside transport.
-	if tc.Net.Mode == transport.StoreAndForward || tc.Topology == soc.Ring || tc.Topology == soc.Torus {
+	if tc.Net.Mode == transport.StoreAndForward || tc.Topology == transport.Ring || tc.Topology == transport.Torus {
 		maxBytes := 0
 		for _, r := range roles {
 			if r.Bytes > maxBytes {
@@ -387,9 +349,7 @@ func RunTrans(tc TransConfig) TransResult {
 	t3 := time.Now()
 
 	// The report's headline rate is the rate every role shares; a mixed
-	// role list reports 0 (the table then says "per-role rates"). The
-	// uniform legacy path always shares tc.Rate, so its reports are
-	// unchanged.
+	// role list reports 0 (the table then says "per-role rates").
 	res := TransResult{Hotspot: tc.Hotspot, Rate: roles[0].Rate}
 	for _, r := range roles[1:] {
 		if r.Rate != res.Rate {

@@ -5,9 +5,24 @@ import (
 	"testing"
 )
 
+// uniformRoles drives every master of the build — the seven historical
+// sockets, plus wb with the WISHBONE socket — with one role shape.
+func uniformRoles(wb bool, shape TransRole) []TransRole {
+	names := []string{"axi", "ocp", "ahb", "pvci", "bvci", "avci", "prop"}
+	if wb {
+		names = append(names, "wb")
+	}
+	roles := make([]TransRole, len(names))
+	for i, n := range names {
+		roles[i] = shape
+		roles[i].Master = n
+	}
+	return roles
+}
+
 func TestTransLoadThroughNIUs(t *testing.T) {
 	res := RunTrans(TransConfig{
-		Seed: 1, Rate: 0.1, Window: 2,
+		Seed: 1, Roles: uniformRoles(false, TransRole{Rate: 0.1, Window: 2}),
 		Warmup: 300, Measure: 2500, Drain: 60000,
 	})
 	if len(res.PerMaster) != 7 {
@@ -37,11 +52,12 @@ func TestTransLoadThroughNIUs(t *testing.T) {
 }
 
 func TestTransHotspotConcentratesLoad(t *testing.T) {
+	roles := uniformRoles(false, TransRole{Rate: 0.25, Window: 2})
 	spread := RunTrans(TransConfig{
-		Seed: 2, Rate: 0.25, Window: 2, Warmup: 300, Measure: 2500, Drain: 60000,
+		Seed: 2, Roles: roles, Warmup: 300, Measure: 2500, Drain: 60000,
 	})
 	hot := RunTrans(TransConfig{
-		Seed: 2, Rate: 0.25, Window: 2, Hotspot: true,
+		Seed: 2, Roles: roles, Hotspot: true,
 		Warmup: 300, Measure: 2500, Drain: 60000,
 	})
 	mean := func(r TransResult) float64 {
@@ -69,7 +85,8 @@ func TestTransHotspotConcentratesLoad(t *testing.T) {
 }
 
 func TestTransWishbone(t *testing.T) {
-	tr := RunTrans(TransConfig{Seed: 3, Rate: 0.1, Warmup: 100, Measure: 800, Wishbone: true})
+	tr := RunTrans(TransConfig{Seed: 3, Roles: uniformRoles(true, TransRole{Rate: 0.1}),
+		Warmup: 100, Measure: 800, Wishbone: true})
 	found := false
 	for _, m := range tr.PerMaster {
 		if m.Master == "wb" {

@@ -14,6 +14,9 @@
 //
 // The five topology builders share one Network/Router/Endpoint API, so
 // topology — like switching mode — is a pure transport-layer choice.
+// Topology is the one vocabulary for it, and Build is the one dispatch
+// from a Topology and a placement Layout to its builder; the packet rig
+// and the SoC build both go through it.
 // Mesh routing is dimension-ordered (XY); torus and ring add wraparound
 // links and stay deadlock-free by the classic dateline scheme over the
 // two VC lanes combined with virtual-cut-through output admission

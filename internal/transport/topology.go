@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"strings"
 
 	"gonoc/internal/noctypes"
 	"gonoc/internal/sim"
@@ -10,6 +11,84 @@ import (
 // This file builds fabrics. Topology choice is a transport-layer concern
 // invisible to the transaction layer; all builders produce the same
 // Network/Endpoint API.
+
+// Topology names a fabric shape: the one vocabulary the packet rig, the
+// SoC build, the scenario schema and the CLIs share.
+type Topology uint8
+
+// Topologies, in display order.
+const (
+	Crossbar Topology = iota
+	Mesh
+	Torus
+	Ring
+	Tree
+)
+
+var topologyNames = [...]string{"crossbar", "mesh", "torus", "ring", "tree"}
+
+// String renders the topology's name.
+func (t Topology) String() string {
+	if int(t) < len(topologyNames) {
+		return topologyNames[t]
+	}
+	return fmt.Sprintf("topology%d", uint8(t))
+}
+
+// ParseTopology resolves a name (case-insensitive; "xbar" is an alias
+// of crossbar) to a Topology.
+func ParseTopology(s string) (Topology, error) {
+	name := strings.ToLower(strings.TrimSpace(s))
+	if name == "xbar" {
+		return Crossbar, nil
+	}
+	for i, n := range topologyNames {
+		if n == name {
+			return Topology(i), nil
+		}
+	}
+	return 0, fmt.Errorf("transport: unknown topology %q (want crossbar|mesh|torus|ring|tree)", s)
+}
+
+// Layout places a node list onto a topology for Build: mesh and torus
+// put node i at (i mod W, i div W) on a W x H grid (H = 0 grows the
+// rows to fit), and a tree hangs up to Fanout nodes under each leaf
+// switch. Crossbar and ring need no layout.
+type Layout struct {
+	Topology Topology
+	W, H     int
+	Fanout   int
+}
+
+// Build builds the fabric layout describes over nodes: the one place a
+// topology picks its builder.
+func Build(clk *sim.Clock, cfg NetConfig, layout Layout, nodes []noctypes.NodeID) *Network {
+	switch layout.Topology {
+	case Mesh, Torus:
+		w, h := layout.W, layout.H
+		if h == 0 && w > 0 {
+			h = (len(nodes) + w - 1) / w
+		}
+		if w*h < len(nodes) {
+			panic(fmt.Sprintf("transport: %dx%d %s cannot hold %d nodes", w, h, layout.Topology, len(nodes)))
+		}
+		spec := MeshSpec{W: w, H: h, Nodes: make(map[noctypes.NodeID]Coord, len(nodes))}
+		for i, n := range nodes {
+			spec.Nodes[n] = Coord{X: i % w, Y: i / w}
+		}
+		if layout.Topology == Torus {
+			return NewTorus(clk, cfg, spec)
+		}
+		return NewMesh(clk, cfg, spec)
+	case Ring:
+		return NewRing(clk, cfg, nodes)
+	case Tree:
+		return NewTree(clk, cfg, layout.Fanout, nodes)
+	case Crossbar:
+		return NewCrossbar(clk, cfg, nodes)
+	}
+	panic(fmt.Sprintf("transport: unknown topology %s", layout.Topology))
+}
 
 // NewCrossbar builds a single-switch fabric: every node one hop from
 // every other. This is the smallest real NoC and the default fabric for
